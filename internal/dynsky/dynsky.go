@@ -10,6 +10,15 @@
 // maintainer recomputes the exact status of that affected set per
 // update; everything else is untouched.
 //
+// The same locality fixes the representation. The maintainer keeps the
+// immutable CSR it was seeded with and gives a vertex a private sorted
+// row only when an update touches it; every other row is read from the
+// CSR in place. Graph merges the private rows into a fresh CSR,
+// bulk-copying the untouched ranges, and rebases the maintainer onto
+// it. Seeding costs one sharded skyline run over the CSR, a batch costs
+// O(degree) per patched row plus the 2-hop recomputes, and neither
+// allocates per vertex.
+//
 // Per-update cost is O(Σ_{x∈affected} deg(pivot(x))·deg(x)) — output
 // sensitive in the size of the 2-hop neighborhoods around the touched
 // edge, independent of n.
@@ -17,46 +26,61 @@ package dynsky
 
 import (
 	"context"
-	"sort"
+	"fmt"
+	"slices"
 
+	"neisky/internal/core"
 	"neisky/internal/graph"
 	"neisky/internal/runctl"
 )
 
 // Maintainer holds a mutable graph and its incrementally-maintained
 // skyline. The vertex count is fixed at construction.
+//
+// The maintainer reads the storage of the graph it was seeded with
+// (which may be an mmap) until Graph returns; callers must keep that
+// graph alive until then.
 type Maintainer struct {
-	n         int32
-	adj       []map[int32]struct{}
+	base *graph.Graph // rows of vertices without a private row
+	// slot[u] > 0 means u's current row is rows[slot[u]-1]; 0 means
+	// base.Neighbors(u). touched lists the vertices with a private row.
+	slot    []int32
+	rows    [][]int32
+	touched []int32
+
 	edges     int
 	dominated []bool
 	skySize   int
+
+	// mark/marked collect a deduplicated vertex set (the 2-hop region
+	// of an update); mark is all false between uses.
+	mark   []bool
+	marked []int32
 }
 
-// New builds a Maintainer seeded from g.
+// New builds a Maintainer seeded from g. The initial domination status
+// of every vertex comes from one sharded skyline run over g.
 func New(g *graph.Graph) *Maintainer {
-	n := int32(g.N())
+	n := g.N()
 	m := &Maintainer{
-		n:         n,
-		adj:       make([]map[int32]struct{}, n),
+		base:      g,
+		slot:      make([]int32, n),
+		edges:     g.M(),
 		dominated: make([]bool, n),
+		mark:      make([]bool, n),
 	}
-	for u := int32(0); u < n; u++ {
-		m.adj[u] = make(map[int32]struct{}, g.Degree(u))
-		for _, v := range g.Neighbors(u) {
-			m.adj[u][v] = struct{}{}
-		}
+	res := core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{})
+	if res.Truncated {
+		// No context reaches the run, so only a worker panic stops it.
+		panic(fmt.Sprintf("dynsky: seeding skyline run stopped early: %v", res.Err))
 	}
-	m.edges = g.M()
-	for u := int32(0); u < n; u++ {
-		m.dominated[u] = m.isDominated(u)
+	for u := range m.dominated {
+		m.dominated[u] = true
 	}
-	m.skySize = int(n)
-	for _, d := range m.dominated {
-		if d {
-			m.skySize--
-		}
+	for _, u := range res.Skyline {
+		m.dominated[u] = false
 	}
+	m.skySize = len(res.Skyline)
 	return m
 }
 
@@ -66,45 +90,41 @@ func NewEmpty(n int) *Maintainer {
 }
 
 // N returns the vertex count.
-func (m *Maintainer) N() int { return int(m.n) }
+func (m *Maintainer) N() int { return len(m.slot) }
 
 // M returns the current edge count.
 func (m *Maintainer) M() int { return m.edges }
 
+// Neighbors returns the current sorted adjacency row of u. The slice is
+// shared with the maintainer and valid only until the next update or
+// Graph call; callers must not modify it.
+func (m *Maintainer) Neighbors(u int32) []int32 {
+	if s := m.slot[u]; s > 0 {
+		return m.rows[s-1]
+	}
+	return m.base.Neighbors(u)
+}
+
 // Degree returns the current degree of u.
-func (m *Maintainer) Degree(u int32) int { return len(m.adj[u]) }
+func (m *Maintainer) Degree(u int32) int { return len(m.Neighbors(u)) }
 
 // Has reports whether the edge (u, v) currently exists.
 func (m *Maintainer) Has(u, v int32) bool {
-	_, ok := m.adj[u][v]
+	_, ok := slices.BinarySearch(m.Neighbors(u), v)
 	return ok
 }
 
-// ForEachNeighbor calls fn for every current neighbor of u until fn
-// returns false. Iteration order is unspecified (hash-map order) — the
-// accessor exists so internal/skytree can evaluate its order-insensitive
-// level predicates on the maintainer's live adjacency without copying
-// it.
-func (m *Maintainer) ForEachNeighbor(u int32, fn func(v int32) bool) {
-	for v := range m.adj[u] {
-		if !fn(v) {
-			return
-		}
-	}
-}
-
 // Affected2Hop returns u, v and every vertex within two hops of either
-// under the CURRENT adjacency, in ascending order. Callers maintaining
-// derived indexes (internal/skytree) take the union of the set before
-// and after an update — exactly the region whose domination pairs the
-// update can touch.
+// under the CURRENT adjacency, in ascending order. The region whose
+// domination pairs an update can touch is the union of this set before
+// and after the update; an insertion only grows rows and a deletion only
+// shrinks them, so callers maintaining derived indexes (internal/skytree)
+// take it after an insertion and before a deletion.
 func (m *Maintainer) Affected2Hop(u, v int32) []int32 {
-	set := m.affected(u, v)
-	out := make([]int32, 0, len(set))
-	for x := range set {
-		out = append(out, x)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	m.mark2Hop(u, v)
+	out := slices.Clone(m.marked)
+	m.unmark()
+	slices.Sort(out)
 	return out
 }
 
@@ -117,25 +137,31 @@ func (m *Maintainer) SkylineSize() int { return m.skySize }
 // Skyline materializes the current skyline in increasing ID order.
 func (m *Maintainer) Skyline() []int32 {
 	out := make([]int32, 0, m.skySize)
-	for v := int32(0); v < m.n; v++ {
-		if !m.dominated[v] {
-			out = append(out, v)
+	for v, d := range m.dominated {
+		if !d {
+			out = append(out, int32(v))
 		}
 	}
 	return out
 }
 
-// Graph snapshots the current adjacency as an immutable CSR graph.
+// Graph snapshots the current adjacency as an immutable CSR graph: the
+// private rows are merged into a fresh CSR and untouched rows are
+// bulk-copied from the current one. The maintainer then rebases onto
+// the result, so it no longer reads the graph it was seeded with. The
+// result is never that seed graph, even when no update changed it.
 func (m *Maintainer) Graph() *graph.Graph {
-	b := graph.NewBuilder(int(m.n))
-	for u := int32(0); u < m.n; u++ {
-		for v := range m.adj[u] {
-			if u < v {
-				b.AddEdge(u, v)
-			}
-		}
+	slices.Sort(m.touched)
+	rows := make([][]int32, len(m.touched))
+	for i, u := range m.touched {
+		rows[i] = m.rows[m.slot[u]-1]
+		m.slot[u] = 0
 	}
-	return b.Build()
+	m.base = m.base.Patch(m.touched, rows, m.edges)
+	clear(m.rows)
+	m.rows = m.rows[:0]
+	m.touched = m.touched[:0]
+	return m.base
 }
 
 // AddEdge inserts the undirected edge (u, v) and updates the skyline.
@@ -144,12 +170,13 @@ func (m *Maintainer) AddEdge(u, v int32) bool {
 	if u == v || m.Has(u, v) {
 		return false
 	}
-	affected := m.affected(u, v)
-	m.adj[u][v] = struct{}{}
-	m.adj[v][u] = struct{}{}
+	m.patch(u, v, true)
+	m.patch(v, u, true)
 	m.edges++
-	m.mergeAffected(affected, u, v)
-	m.recompute(affected)
+	// Insertion only grows rows, so the 2-hop region after it contains
+	// the region before it.
+	m.mark2Hop(u, v)
+	m.recompute()
 	return true
 }
 
@@ -159,56 +186,82 @@ func (m *Maintainer) RemoveEdge(u, v int32) bool {
 	if u == v || !m.Has(u, v) {
 		return false
 	}
-	affected := m.affected(u, v)
-	delete(m.adj[u], v)
-	delete(m.adj[v], u)
+	// Deletion only shrinks rows, so the 2-hop region before it
+	// contains the region after it.
+	m.mark2Hop(u, v)
+	m.patch(u, v, false)
+	m.patch(v, u, false)
 	m.edges--
-	m.mergeAffected(affected, u, v)
-	m.recompute(affected)
+	m.recompute()
 	return true
 }
 
-// affected collects {u, v} plus all vertices within two hops of u or v
-// under the CURRENT adjacency.
-func (m *Maintainer) affected(u, v int32) map[int32]struct{} {
-	set := make(map[int32]struct{})
-	for _, s := range []int32{u, v} {
-		set[s] = struct{}{}
-		for x := range m.adj[s] {
-			set[x] = struct{}{}
-			for y := range m.adj[x] {
-				set[y] = struct{}{}
+// patch inserts (add) or removes v in u's row, giving u a private copy
+// of its base row on first touch. v must be absent (add) or present.
+func (m *Maintainer) patch(u, v int32, add bool) {
+	if m.slot[u] == 0 {
+		b := m.base.Neighbors(u)
+		m.rows = append(m.rows, append(make([]int32, 0, len(b)+1), b...))
+		m.touched = append(m.touched, u)
+		m.slot[u] = int32(len(m.rows))
+	}
+	row := &m.rows[m.slot[u]-1]
+	i, _ := slices.BinarySearch(*row, v)
+	if add {
+		*row = slices.Insert(*row, i, v)
+	} else {
+		*row = slices.Delete(*row, i, i+1)
+	}
+}
+
+// mark2Hop adds {u, v} plus all vertices within two hops of u or v
+// under the CURRENT adjacency to the marked set.
+func (m *Maintainer) mark2Hop(u, v int32) {
+	for _, s := range [2]int32{u, v} {
+		m.visit(s)
+		for _, x := range m.Neighbors(s) {
+			m.visit(x)
+			for _, y := range m.Neighbors(x) {
+				m.visit(y)
 			}
 		}
 	}
-	return set
 }
 
-// mergeAffected extends the affected set with the post-update 2-hop
-// neighborhoods of the endpoints.
-func (m *Maintainer) mergeAffected(set map[int32]struct{}, u, v int32) {
-	for x := range m.affected(u, v) {
-		set[x] = struct{}{}
+func (m *Maintainer) visit(x int32) {
+	if !m.mark[x] {
+		m.mark[x] = true
+		m.marked = append(m.marked, x)
 	}
 }
 
-// recompute refreshes the exact domination status of every affected
-// vertex. An all-isolated graph flips status globally when its last
-// edge disappears or first edge appears, so that case recomputes all.
-func (m *Maintainer) recompute(set map[int32]struct{}) {
+// unmark empties the marked set.
+func (m *Maintainer) unmark() {
+	for _, x := range m.marked {
+		m.mark[x] = false
+	}
+	m.marked = m.marked[:0]
+}
+
+// recompute refreshes the exact domination status of every marked
+// vertex and empties the marked set. An all-isolated graph flips status
+// globally when its last edge disappears or first edge appears, so that
+// case recomputes all.
+func (m *Maintainer) recompute() {
 	if m.edges <= 1 {
 		// Cheap and rare: near-edgeless graphs have global isolated
 		// tie-breaking, so refresh everything.
-		for v := int32(0); v < m.n; v++ {
+		for v := int32(0); v < int32(m.N()); v++ {
 			m.setStatus(v, m.isDominated(v))
 		}
-		return
+	} else {
+		// Isolated vertices outside the affected set keep "dominated"
+		// status as long as some edge exists; nothing to do for them.
+		for _, v := range m.marked {
+			m.setStatus(v, m.isDominated(v))
+		}
 	}
-	for v := range set {
-		m.setStatus(v, m.isDominated(v))
-	}
-	// Isolated vertices outside the affected set keep "dominated"
-	// status as long as some edge exists; nothing to do for them.
+	m.unmark()
 }
 
 func (m *Maintainer) setStatus(v int32, dominated bool) {
@@ -239,55 +292,46 @@ func (m *Maintainer) dominatesPair(w, x int32) bool {
 
 // openInClosed reports N(a) ⊆ N[b].
 func (m *Maintainer) openInClosed(a, b int32) bool {
-	if len(m.adj[a]) > len(m.adj[b])+1 {
-		return false
-	}
-	for y := range m.adj[a] {
-		if y == b {
-			continue
-		}
-		if _, ok := m.adj[b][y]; !ok {
-			return false
-		}
-	}
-	return true
+	na, nb := m.Neighbors(a), m.Neighbors(b)
+	return len(na) <= len(nb)+1 && graph.RowsOpenInClosed(na, nb, b)
 }
 
-// isDominated evaluates x's status from scratch. For deg(x) ≥ 1 every
-// dominator is adjacent to all of x's neighbors, so scanning the closed
-// neighborhood of x's minimum-degree neighbor is complete (same pivot
-// argument as the static refine phase).
+// isDominated evaluates x's status from scratch.
 func (m *Maintainer) isDominated(x int32) bool {
-	if len(m.adj[x]) == 0 {
-		if m.edges > 0 {
-			return true // dominated by any non-isolated vertex
-		}
-		return x != m.minVertex() // all-isolated: min ID survives
+	if m.Degree(x) == 0 {
+		// Dominated by any non-isolated vertex; in an edgeless graph
+		// the minimum ID survives.
+		return m.edges > 0 || x != 0
 	}
-	var pivot int32 = -1
-	for y := range m.adj[x] {
-		if pivot == -1 || len(m.adj[y]) < len(m.adj[pivot]) ||
-			(len(m.adj[y]) == len(m.adj[pivot]) && y < pivot) {
-			pivot = y
-		}
-	}
-	if m.dominatesPair(pivot, x) {
-		return true
-	}
-	for w := range m.adj[pivot] {
-		if w != x && m.dominatesPair(w, x) {
-			return true
-		}
-	}
-	return false
+	return m.dominator(x) >= 0
 }
 
-// minVertex returns the smallest vertex ID (0 unless n == 0).
-func (m *Maintainer) minVertex() int32 {
-	if m.n == 0 {
-		return -1
+// dominator returns the smallest-ID dominator of a non-isolated x, or
+// -1 when x is in the skyline. Every dominator is adjacent to all of
+// x's neighbors, so scanning the closed neighborhood of x's
+// minimum-degree neighbor p is complete (same pivot argument as the
+// static refine phase); p is tried first, then N(p) in ascending order.
+func (m *Maintainer) dominator(x int32) int32 {
+	nx := m.Neighbors(x)
+	p := nx[0]
+	for _, y := range nx[1:] {
+		if m.Degree(y) < m.Degree(p) {
+			p = y
+		}
 	}
-	return 0
+	best := int32(-1)
+	if m.dominatesPair(p, x) {
+		best = p
+	}
+	for _, w := range m.Neighbors(p) {
+		if best >= 0 && w > best {
+			break
+		}
+		if m.dominatesPair(w, x) {
+			return w
+		}
+	}
+	return best
 }
 
 // ApplyEdgeList inserts a batch of edges and returns how many were new.
@@ -356,43 +400,25 @@ func (m *Maintainer) applyRun(run *runctl.Run, ops []Op) (processed, applied int
 }
 
 // Dominators lists, for diagnostic purposes, one dominator per
-// currently-dominated vertex (computed on demand).
+// currently-dominated vertex (computed on demand): the smallest-ID one.
 func (m *Maintainer) Dominators() map[int32]int32 {
 	out := make(map[int32]int32)
-	for x := int32(0); x < m.n; x++ {
-		if !m.dominated[x] {
-			continue
+	// An isolated vertex is dominated by the smallest non-isolated
+	// vertex, or by vertex 0 in an edgeless graph.
+	first := int32(0)
+	for w := int32(0); w < int32(m.N()); w++ {
+		if m.Degree(w) > 0 {
+			first = w
+			break
 		}
-		if len(m.adj[x]) == 0 {
-			// Smallest non-isolated vertex, or vertex 0.
-			for w := int32(0); w < m.n; w++ {
-				if len(m.adj[w]) > 0 {
-					out[x] = w
-					break
-				}
-			}
-			if _, ok := out[x]; !ok {
-				out[x] = 0
-			}
-			continue
-		}
-		var ws []int32
-		var pivot int32 = -1
-		for y := range m.adj[x] {
-			if pivot == -1 || len(m.adj[y]) < len(m.adj[pivot]) {
-				pivot = y
-			}
-		}
-		ws = append(ws, pivot)
-		for w := range m.adj[pivot] {
-			ws = append(ws, w)
-		}
-		sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-		for _, w := range ws {
-			if w != x && m.dominatesPair(w, x) {
-				out[x] = w
-				break
-			}
+	}
+	for x, d := range m.dominated {
+		switch x := int32(x); {
+		case !d:
+		case m.Degree(x) == 0:
+			out[x] = first
+		default:
+			out[x] = m.dominator(x)
 		}
 	}
 	return out

@@ -250,6 +250,40 @@ func (b *Builder) Build() *Graph {
 	return g.finish()
 }
 
+// Patch returns a new graph on g's vertex set in which each vertex us[i]
+// has the adjacency row rows[i] and every other vertex keeps its row
+// from g; m is the new edge count. us must be ascending, every row
+// sorted, and the result symmetric — the caller (an incremental
+// maintainer that edited both endpoints of each changed edge) vouches
+// for it. Untouched vertex ranges are bulk-copied, and the result never
+// shares storage with g.
+func (g *Graph) Patch(us []int32, rows [][]int32, m int) *Graph {
+	n := int32(g.N())
+	size := len(g.adj)
+	for i, u := range us {
+		size += len(rows[i]) - g.Degree(u)
+	}
+	offsets := make([]int32, n+1)
+	adj := make([]int32, 0, size)
+	// copyRange appends g's rows of vertices [lo, hi) and their offsets.
+	copyRange := func(lo, hi int32) {
+		shift := int32(len(adj)) - g.offsets[lo]
+		adj = append(adj, g.adj[g.offsets[lo]:g.offsets[hi]]...)
+		for v := lo; v < hi; v++ {
+			offsets[v+1] = g.offsets[v+1] + shift
+		}
+	}
+	next := int32(0)
+	for i, u := range us {
+		copyRange(next, u)
+		adj = append(adj, rows[i]...)
+		offsets[u+1] = int32(len(adj))
+		next = u + 1
+	}
+	copyRange(next, n)
+	return (&Graph{offsets: offsets, adj: adj, m: m}).finish()
+}
+
 // FromEdges builds a graph with n vertices from an explicit edge list.
 func FromEdges(n int, edges [][2]int32) *Graph {
 	b := NewBuilder(n)
@@ -405,8 +439,12 @@ func (g *Graph) ClosedNeighborhoodContains(u, w int32) bool {
 // sorted adjacency lists and exits on the first witness against
 // inclusion. O(deg(u) + deg(v)).
 func (g *Graph) SubsetOpenInClosed(u, v int32) bool {
-	nu := g.Neighbors(u)
-	nv := g.Neighbors(v)
+	return mergeOpenInClosed(g.Neighbors(u), g.Neighbors(v), v)
+}
+
+// mergeOpenInClosed is SubsetOpenInClosed on explicit sorted rows
+// nu = N(u), nv = N(v).
+func mergeOpenInClosed(nu, nv []int32, v int32) bool {
 	i, j := 0, 0
 	for i < len(nu) {
 		x := nu[i]
@@ -456,13 +494,7 @@ func (g *Graph) DropIsolated() *Graph {
 
 // Clone returns a deep copy of the graph (without any hub index; the
 // copy rebuilds its own on demand).
-func (g *Graph) Clone() *Graph {
-	off := make([]int32, len(g.offsets))
-	copy(off, g.offsets)
-	adj := make([]int32, len(g.adj))
-	copy(adj, g.adj)
-	return (&Graph{offsets: off, adj: adj, m: g.m}).finish()
-}
+func (g *Graph) Clone() *Graph { return g.Patch(nil, nil, g.m) }
 
 // Bytes returns the approximate in-memory size of the CSR arrays, used by
 // the memory experiment (Fig 4) to report "graph size".

@@ -150,7 +150,7 @@ func (h *HubIndex) SubsetOpenInClosed(u, v int32) bool {
 		}
 		return true
 	}
-	return subsetOpenInClosedAdaptive(h.g, u, v)
+	return RowsOpenInClosed(h.g.Neighbors(u), h.g.Neighbors(v), v)
 }
 
 // SubsetClosedInClosed reports N[u] ⊆ N[v] (paper Definition 4) through
@@ -162,12 +162,13 @@ func (h *HubIndex) SubsetClosedInClosed(u, v int32) bool {
 	return h.SubsetOpenInClosed(u, v)
 }
 
-// subsetOpenInClosedAdaptive is the non-hub containment fallback: the
-// legacy merge when the two lists are comparable, per-element galloping
-// probes into N(v) when deg(v) dwarfs deg(u) (cost deg(u)·log deg(v)
-// instead of deg(u)+deg(v)).
-func subsetOpenInClosedAdaptive(g *Graph, u, v int32) bool {
-	nu, nv := g.Neighbors(u), g.Neighbors(v)
+// RowsOpenInClosed reports N(u) ⊆ N[v] on explicit sorted rows
+// nu = N(u), nv = N(v) — the non-hub containment kernel, shared with
+// callers that keep rows outside a CSR (internal/dynsky): the legacy
+// merge when the two lists are comparable, per-element galloping probes
+// into N(v) when deg(v) dwarfs deg(u) (cost deg(u)·log deg(v) instead
+// of deg(u)+deg(v)).
+func RowsOpenInClosed(nu, nv []int32, v int32) bool {
 	if len(nv) > 4*len(nu)+16 {
 		for _, x := range nu {
 			if x != v && !searchSorted(nv, x) {
@@ -176,7 +177,7 @@ func subsetOpenInClosedAdaptive(g *Graph, u, v int32) bool {
 		}
 		return true
 	}
-	return g.SubsetOpenInClosed(u, v)
+	return mergeOpenInClosed(nu, nv, v)
 }
 
 func (h *HubIndex) String() string {

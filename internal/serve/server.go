@@ -197,9 +197,7 @@ type errorResponse struct {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -787,11 +785,13 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 	if pin == nil {
 		return
 	}
+	// The maintainers read the pinned graph's rows (possibly an mmap)
+	// until their Graph() returns, so the pin outlives the build.
+	defer pin.Release()
 	g := pin.Graph()
 	batch := make([]dynsky.Op, len(ops))
 	for i, op := range ops {
 		if op.U < 0 || op.V < 0 || int(op.U) >= g.N() || int(op.V) >= g.N() || op.U == op.V {
-			pin.Release()
 			writeErr(w, http.StatusBadRequest, "bad op %d: edge (%d,%d) on %d vertices", i, op.U, op.V, g.N())
 			return
 		}
@@ -809,14 +809,12 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 	var skySize int
 	if prev := pin.Snapshot().TreeIfBuilt(); prev != nil {
 		tm := skytree.NewMaintainerFromTree(g, prev)
-		pin.Release() // the maintainer owns a private copy now
 		processed, applied, applyErr = tm.ApplyPrefixCtx(ctx, batch)
 		snap = &Snapshot{Graph: tm.Graph(), Name: fmt.Sprintf("batch:%d", applied)}
 		snap.SetTree(tm.Tree())
 		skySize = tm.Dyn().SkylineSize()
 	} else {
 		m := dynsky.New(g)
-		pin.Release() // the maintainer owns a private copy now
 		processed, applied, applyErr = m.ApplyPrefixCtx(ctx, batch)
 		snap = &Snapshot{Graph: m.Graph(), Name: fmt.Sprintf("batch:%d", applied)}
 		skySize = m.SkylineSize()

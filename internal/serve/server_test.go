@@ -265,6 +265,100 @@ func TestSwapFromFile(t *testing.T) {
 	}
 }
 
+// TestBatchSwapsOutliveMmapSeed pins the lifetime rule of batch swaps
+// on an mmap-backed epoch: the maintainer reads the seed's mapping only
+// until its Graph() returns, and every published batch epoch owns its
+// storage — even one whose batch changed nothing — so both stay
+// readable after the seed is unmapped.
+func TestBatchSwapsOutliveMmapSeed(t *testing.T) {
+	g := testGraph()
+	seedPath := filepath.Join(t.TempDir(), "seed.nsb2")
+	if err := g.WriteBinaryFile(seedPath, 0); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := SnapshotFromFile(seedPath, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := snap.Closer.(*graph.Mapped)
+	if !mapped.Mmapped() {
+		t.Skip("no mmap support: the snapshot was heap-loaded")
+	}
+	nextPath := filepath.Join(t.TempDir(), "next.nsb2")
+	if err := gen.Clique(10).WriteBinaryFile(nextPath, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(snap, Options{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+
+	// An in-flight reader keeps the seed epoch mapped across the swaps.
+	seedPin := srv.Store().Acquire()
+	swapOps := func(ops string, wantApplied int) *Pin {
+		t.Helper()
+		code, body := post(t, ts, "/v1/snapshot/swap", `{"ops":[`+ops+`]}`)
+		if code != http.StatusOK || int(body["applied"].(float64)) != wantApplied {
+			t.Fatalf("swap %s: status %d, body %v", ops, code, body)
+		}
+		return srv.Store().Acquire()
+	}
+	edges := g.EdgeList()
+	var dup []string
+	for _, e := range edges[:4] {
+		dup = append(dup, fmt.Sprintf(`{"add":true,"u":%d,"v":%d}`, e[0], e[1]))
+	}
+	pinDup := swapOps(strings.Join(dup, ","), 0)
+	var add [2]int32
+	for v := int32(1); v < int32(g.N()); v++ {
+		if !g.Has(0, v) {
+			add = [2]int32{0, v}
+			break
+		}
+	}
+	pinReal := swapOps(fmt.Sprintf(`{"add":true,"u":%d,"v":%d},{"add":false,"u":%d,"v":%d}`,
+		add[0], add[1], edges[0][0], edges[0][1]), 2)
+	wantReal := graph.FromEdges(g.N(), append(edges[1:], add))
+
+	// Readers walk both batch epochs while a file swap retires them and
+	// the seed's last pin drops, which unmaps it.
+	check := func(pin *Pin, want *graph.Graph) {
+		got := pin.Graph()
+		if fmt.Sprint(got.EdgeList()) != fmt.Sprint(want.EdgeList()) {
+			t.Errorf("epoch %d: edges diverge from its batch", pin.Epoch())
+			return
+		}
+		if !core.EqualSkylines(core.BruteForce(got).Skyline, core.BruteForce(want).Skyline) {
+			t.Errorf("epoch %d: skyline diverges from its batch", pin.Epoch())
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				check(pinDup, g)
+				check(pinReal, wantReal)
+			}
+		}()
+	}
+	if code, body := post(t, ts, "/v1/snapshot/swap", fmt.Sprintf(`{"path":%q}`, nextPath)); code != http.StatusOK {
+		t.Fatalf("file swap status %d: %v", code, body)
+	}
+	seedPin.Release()
+	if mapped.Mmapped() {
+		t.Fatal("seed epoch still mapped after its last pin dropped")
+	}
+	wg.Wait()
+	check(pinDup, g)
+	check(pinReal, wantReal)
+	pinDup.Release()
+	pinReal.Release()
+}
+
 func TestSwapValidation(t *testing.T) {
 	g := testGraph()
 	_, ts := newTestServer(t, g, Options{})

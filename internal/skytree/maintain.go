@@ -57,7 +57,8 @@ func NewMaintainer(g *graph.Graph, opts BuildOptions) *Maintainer {
 // tree of g, skipping the from-scratch peel — the path the serving
 // daemon uses to carry the index across an edge-batch snapshot swap.
 // Truncated trees are rejected (their unassigned layers would poison
-// every locality argument).
+// every locality argument). Like dynsky.New, the maintainer reads g's
+// storage until Graph returns.
 func NewMaintainerFromTree(g *graph.Graph, t *Tree) *Maintainer {
 	if t.Truncated {
 		panic("skytree: NewMaintainerFromTree needs a complete tree")
@@ -118,9 +119,8 @@ func (m *Maintainer) AddEdge(u, v int32) bool {
 	if u == v || m.dyn.Has(u, v) {
 		return false
 	}
-	seed := m.dyn.Affected2Hop(u, v)
 	m.dyn.AddEdge(u, v)
-	m.update(seed, m.dyn.Affected2Hop(u, v))
+	m.update(m.dyn.Affected2Hop(u, v))
 	return true
 }
 
@@ -132,7 +132,7 @@ func (m *Maintainer) RemoveEdge(u, v int32) bool {
 	}
 	seed := m.dyn.Affected2Hop(u, v)
 	m.dyn.RemoveEdge(u, v)
-	m.update(seed, m.dyn.Affected2Hop(u, v))
+	m.update(seed)
 	return true
 }
 
@@ -181,7 +181,7 @@ func (m *Maintainer) applyRun(run *runctl.Run, ops []dynsky.Op) (processed, appl
 
 // view returns the level-predicate view over the live adjacency.
 func (m *Maintainer) view() levelView {
-	return levelView{av: dynView{m: m.dyn}, layer: m.layer}
+	return levelView{g: m.dyn, layer: m.layer}
 }
 
 // enter adds v to the dirty set, recording its current layer as the
@@ -197,16 +197,15 @@ func (m *Maintainer) enter(v int32) {
 
 // update re-layers the region an edge update can affect: the union of
 // the endpoints' 2-hop neighborhoods before and after the update, then
-// the cascade closure described on Maintainer.
-func (m *Maintainer) update(before, after []int32) {
+// the cascade closure described on Maintainer. An insertion only grows
+// rows and a deletion only shrinks them, so that union is the 2-hop
+// region after an insertion and before a deletion.
+func (m *Maintainer) update(seed []int32) {
 	r := obs.Get()
 	defer r.Start("skytree.update").End()
 
 	m.scratch.dirty = m.scratch.dirty[:0]
-	for _, v := range before {
-		m.enter(v)
-	}
-	for _, v := range after {
+	for _, v := range seed {
 		m.enter(v)
 	}
 
@@ -246,18 +245,15 @@ func (m *Maintainer) update(before, after []int32) {
 func (m *Maintainer) absorb3Hop(v int32, grew *bool) {
 	pre := len(m.scratch.dirty)
 	m.enter(v)
-	m.dyn.ForEachNeighbor(v, func(a int32) bool {
+	for _, a := range m.dyn.Neighbors(v) {
 		m.enter(a)
-		m.dyn.ForEachNeighbor(a, func(b int32) bool {
+		for _, b := range m.dyn.Neighbors(a) {
 			m.enter(b)
-			m.dyn.ForEachNeighbor(b, func(c int32) bool {
+			for _, c := range m.dyn.Neighbors(b) {
 				m.enter(c)
-				return true
-			})
-			return true
-		})
-		return true
-	})
+			}
+		}
+	}
 	if len(m.scratch.dirty) > pre {
 		*grew = true
 	}
@@ -321,16 +317,4 @@ func (m *Maintainer) peelLocal(dirty []int32) {
 		}
 		undecided = still
 	}
-}
-
-// dynView adapts the dynsky maintainer's live adjacency.
-type dynView struct{ m *dynsky.Maintainer }
-
-func (dv dynView) n() int32        { return int32(dv.m.N()) }
-func (dv dynView) deg(v int32) int { return dv.m.Degree(v) }
-func (dv dynView) has(u, v int32) bool {
-	return dv.m.Has(u, v)
-}
-func (dv dynView) forEach(v int32, fn func(x int32) bool) {
-	dv.m.ForEachNeighbor(v, fn)
 }

@@ -2,6 +2,9 @@ package skytree
 
 import (
 	"context"
+	"maps"
+	"runtime"
+	"slices"
 	"testing"
 
 	"neisky/internal/dynsky"
@@ -175,4 +178,111 @@ func mustPanic(t *testing.T, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// churn builds a seeded update stream on g: each op either deletes an
+// edge at a random vertex (so deletes are real, not misses) or inserts
+// a random pair.
+func churn(g *graph.Graph, ops int, seed uint64) []dynsky.Op {
+	r := rng.New(seed)
+	n := g.N()
+	out := make([]dynsky.Op, ops)
+	for i := range out {
+		u := int32(r.Intn(n))
+		if nb := g.Neighbors(u); len(nb) > 0 && r.Intn(2) == 0 {
+			out[i] = dynsky.Op{U: u, V: nb[r.Intn(len(nb))]}
+		} else {
+			out[i] = dynsky.Op{Add: true, U: u, V: int32(r.Intn(n))}
+		}
+	}
+	return out
+}
+
+// TestStreamDeterministicAcrossGOMAXPROCS applies one seeded 1k-op
+// stream under GOMAXPROCS 1 and 2. The graph is past the engine's
+// parallel cutoff, so seeding and every level of the initial build run
+// sharded; outputs must not depend on the worker count or on any
+// iteration order.
+func TestStreamDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	g := gen.PowerLaw(8000, 32000, 3.0, 17)
+	ops := churn(g, 1000, 18)
+	type outcome struct {
+		sky   []int32
+		doms  map[int32]int32
+		edges [][2]int32
+		tree  *Tree
+	}
+	run := func(procs int) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m := NewMaintainer(g, BuildOptions{})
+		m.Apply(ops)
+		return outcome{m.Dyn().Skyline(), m.Dyn().Dominators(), m.Graph().EdgeList(), m.Tree()}
+	}
+	a, b := run(1), run(2)
+	switch {
+	case !slices.Equal(a.sky, b.sky):
+		t.Fatal("Skyline differs between GOMAXPROCS 1 and 2")
+	case !maps.Equal(a.doms, b.doms):
+		t.Fatal("Dominators differ between GOMAXPROCS 1 and 2")
+	case !slices.Equal(a.edges, b.edges):
+		t.Fatal("Graph().EdgeList() differs between GOMAXPROCS 1 and 2")
+	case !a.tree.Equal(b.tree):
+		t.Fatal("layers or parents differ between GOMAXPROCS 1 and 2")
+	}
+}
+
+// TestBatchSwapAllocsFlatInN pins the memory shape of a batch swap: a
+// maintainer seeded on an n-vertex epoch, one 8-op batch and the
+// published CSR cost a number of allocations independent of n (dense
+// arrays and touched rows, never one object per vertex). Each run seeds
+// on the previous run's output, as consecutive swaps do, so the epoch
+// graph's lazily built indexes are paid every time.
+func TestBatchSwapAllocsFlatInN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an 80k-vertex graph")
+	}
+	ctx := context.Background()
+	measure := func(n int) (dyn, tree float64) {
+		g, _, _ := gen.PowerLaw(n, 4*n, 2.5, 29).RelabelByDegree()
+		// Four inserts among low-degree vertices, then their deletes:
+		// every op applies, and each run ends on the graph it started
+		// from, so the tree stays valid for the next run.
+		r := rng.New(30)
+		var batch []dynsky.Op
+		for len(batch) < 4 {
+			u, v := int32(n/2+r.Intn(n/2)), int32(n/2+r.Intn(n/2))
+			if u != v && !g.Has(u, v) {
+				batch = append(batch, dynsky.Op{Add: true, U: u, V: v})
+			}
+		}
+		for _, op := range batch[:4] {
+			batch = append(batch, dynsky.Op{U: op.U, V: op.V})
+		}
+		cur := g
+		dyn = testing.AllocsPerRun(3, func() {
+			m := dynsky.New(cur)
+			if _, applied, _ := m.ApplyPrefixCtx(ctx, batch); applied != len(batch) {
+				t.Fatalf("applied %d of %d ops", applied, len(batch))
+			}
+			cur = m.Graph()
+		})
+		tr := Build(g, BuildOptions{})
+		tree = testing.AllocsPerRun(3, func() {
+			m := NewMaintainerFromTree(cur, tr)
+			if _, applied, _ := m.ApplyPrefixCtx(ctx, batch); applied != len(batch) {
+				t.Fatalf("applied %d of %d ops", applied, len(batch))
+			}
+			cur = m.Graph()
+		})
+		return dyn, tree
+	}
+	dSmall, tSmall := measure(10000)
+	dLarge, tLarge := measure(80000)
+	t.Logf("allocs per swap: dynsky %.0f at n=10k, %.0f at n=80k; skytree %.0f, %.0f", dSmall, dLarge, tSmall, tLarge)
+	if dLarge >= 2*dSmall {
+		t.Errorf("dynsky swap allocations grow with n: %.0f at n=10k, %.0f at n=80k", dSmall, dLarge)
+	}
+	if tLarge >= 2*tSmall {
+		t.Errorf("skytree swap allocations grow with n: %.0f at n=10k, %.0f at n=80k", tSmall, tLarge)
+	}
 }

@@ -153,17 +153,17 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opts BuildOptions) *Tree {
 
 	run := runctl.FromContext(ctx)
 	defer run.Release()
-	t.assignParents(run, csrView{g: g})
+	t.assignParents(run, g)
 	t.buildLayerLists()
 	return t
 }
 
 // assignParents fills parent[v] for every assigned vertex of layer ≥ 1
 // with the canonical previous-layer witness (levelView.parentAt).
-func (t *Tree) assignParents(run *runctl.Run, av adjView) {
-	lv := levelView{av: av, layer: t.layer}
+func (t *Tree) assignParents(run *runctl.Run, g *graph.Graph) {
+	lv := levelView{g: g, layer: t.layer}
 	cp := run.Checkpoint(checkEvery)
-	for v := int32(0); v < av.n(); v++ {
+	for v := int32(0); v < int32(g.N()); v++ {
 		if t.layer[v] <= 0 {
 			continue
 		}
@@ -287,14 +287,4 @@ func (t *Tree) Equal(o *Tree) bool {
 		}
 	}
 	return true
-}
-
-// clone deep-copies the assignment arrays (layer lists and children are
-// rebuilt lazily/by the caller).
-func (t *Tree) clone() *Tree {
-	nt := &Tree{
-		layer:  append([]int32(nil), t.layer...),
-		parent: append([]int32(nil), t.parent...),
-	}
-	return nt
 }

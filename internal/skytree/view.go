@@ -1,22 +1,18 @@
 package skytree
 
-// adjView abstracts the adjacency access the level-filtered dominance
-// predicates need, so the same code evaluates them on an immutable CSR
-// graph (construction, subset queries) and on the mutable hash-map
-// adjacency of an incremental maintainer (dynsky unification).
-type adjView interface {
-	// n returns the vertex count.
-	n() int32
-	// deg returns the current degree of v.
-	deg(v int32) int
-	// forEach calls fn for every neighbor of v until fn returns false.
-	forEach(v int32, fn func(x int32) bool)
-	// has reports whether the edge (u, v) exists.
-	has(u, v int32) bool
+// graphAdj is the adjacency the level-filtered dominance predicates
+// read. Both the immutable CSR (*graph.Graph: construction, subset
+// queries) and the incremental maintainer's patched CSR
+// (*dynsky.Maintainer) satisfy it, so one set of predicates serves the
+// build and the maintenance path. Rows are sorted ascending.
+type graphAdj interface {
+	Degree(u int32) int
+	Neighbors(u int32) []int32
+	Has(u, v int32) bool
 }
 
-// levelView pairs an adjView with a layer assignment and evaluates the
-// dominance predicates of the peel at a given level k, where the
+// levelView pairs an adjacency with a layer assignment and evaluates
+// the dominance predicates of the peel at a given level k, where the
 // remaining set is S_k = {w : layer[w] ≥ k or layer[w] == unassigned}.
 //
 // The convention at every level is the paper's ALGORITHMIC treatment of
@@ -29,7 +25,7 @@ type adjView interface {
 // graph would peel one isolated leaf per level for n levels instead of
 // finishing in two).
 type levelView struct {
-	av    adjView
+	g     graphAdj
 	layer []int32 // unassigned (< 0) counts as "still in every S_k"
 }
 
@@ -41,15 +37,12 @@ func (lv levelView) inS(w, k int32) bool {
 // includedAt reports N_{S_k}(a) ⊆ N_{S_k}[b] on the level-k induced
 // subgraph.
 func (lv levelView) includedAt(a, b, k int32) bool {
-	ok := true
-	lv.av.forEach(a, func(x int32) bool {
-		if x != b && lv.inS(x, k) && !lv.av.has(b, x) {
-			ok = false
+	for _, x := range lv.g.Neighbors(a) {
+		if x != b && lv.inS(x, k) && !lv.g.Has(b, x) {
 			return false
 		}
-		return true
-	})
-	return ok
+	}
+	return true
 }
 
 // dominatesAt reports w ≤-dominates v in the level-k induced subgraph
@@ -71,15 +64,14 @@ func (lv levelView) dominatesAt(w, v, k int32) bool {
 // only a heuristic to keep the scan range small.
 func (lv levelView) pivotAt(v, k int32) int32 {
 	pivot, pd := int32(-1), 0
-	lv.av.forEach(v, func(x int32) bool {
+	for _, x := range lv.g.Neighbors(v) {
 		if !lv.inS(x, k) {
-			return true
+			continue
 		}
-		if d := lv.av.deg(x); pivot < 0 || d < pd || (d == pd && x < pivot) {
+		if d := lv.g.Degree(x); pivot < 0 || d < pd || (d == pd && x < pivot) {
 			pivot, pd = x, d
 		}
-		return true
-	})
+	}
 	return pivot
 }
 
@@ -94,15 +86,12 @@ func (lv levelView) dominatedAt(v, k int32) bool {
 	if lv.inS(pivot, k) && lv.dominatesAt(pivot, v, k) {
 		return true
 	}
-	dominated := false
-	lv.av.forEach(pivot, func(w int32) bool {
+	for _, w := range lv.g.Neighbors(pivot) {
 		if w != v && lv.inS(w, k) && lv.dominatesAt(w, v, k) {
-			dominated = true
-			return false
+			return true
 		}
-		return true
-	})
-	return dominated
+	}
+	return false
 }
 
 // parentAt returns the canonical parent witness of a vertex v at layer
@@ -130,32 +119,8 @@ func (lv levelView) parentAt(v, k int32) int32 {
 		}
 	}
 	consider(pivot)
-	lv.av.forEach(pivot, func(w int32) bool {
+	for _, w := range lv.g.Neighbors(pivot) {
 		consider(w)
-		return true
-	})
-	return best
-}
-
-// csrView adapts an immutable CSR graph.
-type csrView struct{ g graphAdj }
-
-// graphAdj is the subset of *graph.Graph the CSR view needs (named so
-// tests can substitute fixtures).
-type graphAdj interface {
-	N() int
-	Degree(u int32) int
-	Neighbors(u int32) []int32
-	Has(u, v int32) bool
-}
-
-func (cv csrView) n() int32            { return int32(cv.g.N()) }
-func (cv csrView) deg(v int32) int     { return cv.g.Degree(v) }
-func (cv csrView) has(u, v int32) bool { return cv.g.Has(u, v) }
-func (cv csrView) forEach(v int32, fn func(x int32) bool) {
-	for _, x := range cv.g.Neighbors(v) {
-		if !fn(x) {
-			return
-		}
 	}
+	return best
 }
