@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check ci test race bench bench-msbfs bench-obs bench-runctl bench-json bench-scale bench-serve bench-shard bench-tree bench-gate bench-gate-check bench-wal build vet fmt fuzz-smoke coverage
+.PHONY: check ci test race bench bench-msbfs bench-obs bench-runctl bench-json bench-scale bench-shard bench-tree bench-gate bench-gate-check build vet fmt fuzz-smoke coverage
 
 check: ## gofmt + vet + build + full tests + race on hot packages + bench smoke
 	./scripts/check.sh
@@ -74,7 +74,7 @@ bench-scale: ## million-scale pipeline: generate -> stream-convert -> mmap -> sk
 
 SHARD_S ?= 1,4,16,64
 BENCH5  ?= BENCH_5.json
-bench-shard: ## sharded-engine sweep vs the parallel filter-phase bar on a 2M mmap snapshot (SHARD_S, SCALE_N, BENCH5 knobs)
+bench-shard: ## sharded-engine sweep vs the serial engine on a 2M mmap snapshot (SHARD_S, SCALE_N, BENCH5 knobs)
 	$(GO) run ./cmd/nsbench -shardbench -scale-n $(SCALE_N) -shards $(SHARD_S) -json $(BENCH5)
 
 TREE_N  ?= 100000
@@ -89,13 +89,3 @@ bench-gate: ## regenerate the small-n gate rows (commit to scripts/bench_baselin
 bench-gate-check: ## run the gate rows and diff them against the committed baseline (fails on >25% ratio regression)
 	$(GO) run ./cmd/nsbench -gatebench -json bench-gate.json
 	$(GO) run scripts/bench_compare.go scripts/bench_baseline.json bench-gate.json
-
-BENCH7 ?= BENCH_7.json
-bench-wal: ## durability sweep: WAL fsync policies, crash recovery, checkpoint cost, capped-admission overload (BENCH7 knob)
-	$(GO) run ./cmd/nsbench -walbench -json $(BENCH7)
-
-SERVE_N     ?= 100000
-SERVE_SWAPS ?= 5
-BENCH4      ?= bench-serve.json
-bench-serve: ## serving pipeline: nsgen snapshot -> nsserve daemon -> nsload mixed traffic (SERVE_N, SERVE_SWAPS, BENCH4 knobs)
-	SERVE_N=$(SERVE_N) SERVE_SWAPS=$(SERVE_SWAPS) BENCH4=$(BENCH4) ./scripts/bench_serve.sh

@@ -1,4 +1,4 @@
-// Benchmarks for the extension layer: parallel refine, approximate
+// Benchmarks for the extension layer: sharded skyline, approximate
 // skyline, dynamic maintenance, group betweenness and the MIS
 // reduction.
 package neisky_test
@@ -14,8 +14,8 @@ import (
 	"neisky/internal/rng"
 )
 
-// BenchmarkParallelSkyline compares the sequential refine phase with
-// 2/4/8-way sharding.
+// BenchmarkParallelSkyline compares the serial engine with the sharded
+// engine at 2, 4 and 8 workers.
 func BenchmarkParallelSkyline(b *testing.B) {
 	g := benchGraph(b, "livejournal-sim", 1)
 	b.Run("seq", func(b *testing.B) {
@@ -26,7 +26,7 @@ func BenchmarkParallelSkyline(b *testing.B) {
 	for _, w := range []int{2, 4, 8} {
 		b.Run(workersName(w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ParallelFilterRefineSky(g, core.Options{}, w)
+				core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{Workers: w})
 			}
 		})
 	}

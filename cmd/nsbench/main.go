@@ -77,7 +77,6 @@ func main() {
 	shardWorkers := flag.Int("shard-workers", 0, "shardbench worker pool for the sharded rows (0 = 1)")
 	treebench := flag.Bool("treebench", false, "run the layered-index BENCH_6 grid: index-assisted top-k/subset/maintenance vs per-query recompute (needs -json)")
 	gatebench := flag.Bool("gatebench", false, "run the small-n bench-gate rows for scripts/bench_compare (needs -json)")
-	walbench := flag.Bool("walbench", false, "run the durability/overload BENCH_7 sweep: WAL fsync policies, crash recovery, checkpoint cost, and a capped-admission overload run (needs -json)")
 	flag.Parse()
 
 	if *list {
@@ -91,9 +90,9 @@ func main() {
 	defer stop()
 	cfg := bench.Config{Out: os.Stdout, Scale: *scale, Quick: *quick, Seed: *seed,
 		Workers: *workers, Metrics: *metrics, Ctx: ctx}
-	if *scalebench || *shardbench || *treebench || *gatebench || *walbench || *input != "" {
+	if *scalebench || *shardbench || *treebench || *gatebench || *input != "" {
 		if *jsonOut == "" {
-			fmt.Fprintln(os.Stderr, "nsbench: -scalebench, -shardbench, -treebench, -gatebench, -walbench and -input need -json <file>")
+			fmt.Fprintln(os.Stderr, "nsbench: -scalebench, -shardbench, -treebench, -gatebench and -input need -json <file>")
 			os.Exit(1)
 		}
 		f, err := os.Create(*jsonOut)
@@ -108,8 +107,7 @@ func main() {
 				os.Exit(1)
 			}
 			hcfg := bench.ShardConfig{N: *scaleN, M: *scaleM, Seed: *seed,
-				Workers: *workers, ShardWorkers: *shardWorkers,
-				ShardCounts: counts, Dir: *dir, Out: os.Stderr}
+				ShardWorkers: *shardWorkers, ShardCounts: counts, Dir: *dir, Out: os.Stderr}
 			if *quick {
 				hcfg.Rounds = 1
 			}
@@ -123,15 +121,6 @@ func main() {
 			err = bench.RunTreeJSON(f, tcfg)
 		} else if *gatebench {
 			err = bench.RunGateJSON(f, bench.GateConfig{Seed: *seed, Out: os.Stderr})
-		} else if *walbench {
-			wcfg := bench.WALConfig{N: *scaleN, M: *scaleM, Seed: *seed,
-				Dir: *dir, Out: os.Stderr}
-			if *quick {
-				wcfg.N = 2_000
-				wcfg.Batches = 200
-				wcfg.Queries = 120
-			}
-			err = bench.RunWALJSON(f, wcfg)
 		} else if *scalebench {
 			scfg := bench.ScaleConfig{N: *scaleN, M: *scaleM, Seed: *seed,
 				Workers: *workers, Dir: *dir, Out: os.Stderr}

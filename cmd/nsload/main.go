@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	nsload -addr http://127.0.0.1:8080 -n 100000 -swaps 5 -json BENCH_4.json
+//	nsload -addr http://127.0.0.1:8080 -n 100000 -swaps 5
 //
 // The run fails (exit 1) if any query fails or observes a torn
 // snapshot, so it doubles as the serving smoke test in scripts/check.sh.
@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"neisky/internal/bench"
 	"neisky/internal/cliutil"
 	"neisky/internal/serve"
 )
@@ -33,7 +32,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "query-mix seed")
 	retries := flag.Int("retries", 0, "max retries per query on 429/503 (0 = default 3, negative disables)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "initial retry backoff, doubling to a 500ms cap with jitter (0 = default 10ms)")
-	jsonOut := flag.String("json", "", "write BENCH_4-style JSON rows to this file")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock limit for the run (0 = none)")
 	flag.Parse()
 
@@ -68,23 +66,6 @@ func main() {
 	for _, ep := range rep.Endpoints {
 		fmt.Printf("  %-11s %7d queries  rejected=%-5d p50=%8.2fms  p99=%8.2fms  max=%8.2fms\n",
 			ep.Endpoint, ep.Queries, ep.Rejected, ms(ep.P50Ns), ms(ep.P99Ns), ms(ep.MaxNs))
-	}
-
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nsload:", err)
-			os.Exit(1)
-		}
-		err = bench.WriteServeJSON(f, rep)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nsload:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *jsonOut)
 	}
 
 	if rep.Failed > 0 {

@@ -5,10 +5,13 @@
 // Endpoints (all responses carry epoch/n/m plus truncated/cause anytime
 // markers; see README "Serving"):
 //
-//	GET  /v1/skyline?algo=&timeout=&budget=&limit=
+//	GET  /v1/skyline?timeout=&budget=&limit=
 //	GET  /v1/centrality/group?k=&measure=
 //	GET  /v1/clique?k=
 //	GET  /v1/dominators?v=1,2,3
+//	GET  /v1/skyline/layers?k=
+//	POST /v1/skyline/subset       {"v": [...]}
+//	GET  /v1/skyline/explain?v=
 //	POST /v1/snapshot/swap        {"path": "...", "mmap": true} or {"ops": [...]}
 //	GET  /v1/stats, /healthz
 //

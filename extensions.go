@@ -12,18 +12,11 @@ import (
 )
 
 // This file exposes the extensions built on top of the paper's core:
-// parallel skyline computation, the approximate skyline the paper's
+// sharded skyline computation, the approximate skyline the paper's
 // closing remark calls for, dynamic maintenance under edge updates,
 // group betweenness maximization (the application §IV-D defers to
 // future work), and the maximum-independent-set reduction from the
 // paper's introduction.
-
-// SkylineParallel computes the skyline with both the filter and refine
-// phases sharded across the given number of worker goroutines. Results
-// are identical to Skyline.
-func SkylineParallel(g *Graph, opts Options, workers int) *Result {
-	return core.ParallelFilterRefineSky(g, opts, workers)
-}
 
 // ShardOptions tune SkylineSharded: shard count, worker-pool size, the
 // register-sketch ablation switch, and the per-shard paging-hint

@@ -6,12 +6,12 @@ import (
 	"neisky"
 )
 
-func TestSkylineParallelFacade(t *testing.T) {
+func TestSkylineShardedFacade(t *testing.T) {
 	g := neisky.GeneratePowerLaw(800, 2400, 2.2, 5)
 	seq := neisky.Skyline(g)
-	par := neisky.SkylineParallel(g, neisky.Options{}, 4)
-	if len(seq) != len(par.Skyline) {
-		t.Fatalf("parallel %d != sequential %d", len(par.Skyline), len(seq))
+	sh := neisky.SkylineSharded(g, neisky.Options{NoParallelCutoff: true}, neisky.ShardOptions{Workers: 4})
+	if len(seq) != len(sh.Skyline) {
+		t.Fatalf("sharded %d != sequential %d", len(sh.Skyline), len(seq))
 	}
 }
 

@@ -42,9 +42,9 @@ func RunAblation(cfg Config) {
 			res.Stats.InclusionTests, res.Stats.BloomRejects)
 	}
 
-	cfg.printf("-- parallel workers --\n")
+	cfg.printf("-- sharded engine workers --\n")
 	for _, w := range []int{1, 2, 4, 8} {
-		d := timed(func() { core.ParallelFilterRefineSky(g, core.Options{}, w) })
+		d := timed(func() { core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{Workers: w}) })
 		cfg.printf("workers=%d: %s\n", w, d.Round(time.Microsecond))
 	}
 

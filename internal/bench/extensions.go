@@ -12,7 +12,7 @@ import (
 )
 
 // RunExtensions exercises the features built beyond the paper: the
-// parallel refine phase, the ε-approximate skyline, dynamic
+// sharded skyline engine, the ε-approximate skyline, dynamic
 // maintenance, group betweenness with skyline pruning, and the
 // independent-set reduction.
 func RunExtensions(cfg Config) {
@@ -23,12 +23,12 @@ func RunExtensions(cfg Config) {
 	}
 	cfg.printf("== Extensions (beyond the paper) on livejournal-sim (%s) ==\n", g.Stats())
 
-	cfg.printf("-- parallel FilterRefineSky --\n")
+	cfg.printf("-- sharded FilterRefineSky (workers=1 is the serial engine) --\n")
 	seqT := timed(func() { core.FilterRefineSky(g, core.Options{}) })
 	cfg.printf("%8s %12s\n", "workers", "time")
 	cfg.printf("%8d %12s\n", 1, seqT.Round(time.Microsecond))
 	for _, w := range []int{2, 4, 8} {
-		t := timed(func() { core.ParallelFilterRefineSky(g, core.Options{}, w) })
+		t := timed(func() { core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{Workers: w}) })
 		cfg.printf("%8d %12s\n", w, t.Round(time.Microsecond))
 	}
 

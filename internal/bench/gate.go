@@ -75,9 +75,6 @@ func RunGateJSON(w io.Writer, cfg GateConfig) error {
 		{"ShardedFilterRefineSky-s8", "powerlaw-20k", g.N(), g.M(), func() {
 			core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{Shards: 8, Workers: 4})
 		}},
-		{"ParallelFilterRefineSky-4", "powerlaw-20k", g.N(), g.M(), func() {
-			core.ParallelFilterRefineSky(g, core.Options{}, 4)
-		}},
 		{"SkyTreeBuild", "powerlaw-20k", g.N(), g.M(), func() {
 			skytree.Build(g, skytree.BuildOptions{Workers: 4})
 		}},

@@ -36,14 +36,7 @@ type BenchRow struct {
 	Source        string           `json:"source,omitempty"`  // "heap" / "mmap" (snapshot rows)
 	Relabel       string           `json:"relabel,omitempty"` // "on" / "off" (snapshot rows)
 	ConvertNs     int64            `json:"convert_ns,omitempty"`
-	Queries       int              `json:"queries,omitempty"` // serving rows (BENCH_4)
-	Failed        int              `json:"failed,omitempty"`
-	Rejected      int              `json:"rejected,omitempty"` // admission 429s after retries (BENCH_4/BENCH_7)
-	Swaps         int              `json:"swaps,omitempty"`
-	P50Ns         int64            `json:"p50_ns,omitempty"`
-	P99Ns         int64            `json:"p99_ns,omitempty"`
-	Fsync         string           `json:"fsync,omitempty"`          // WAL rows (BENCH_7): sync policy
-	RecoverNs     int64            `json:"recover_ns,omitempty"`     // WAL rows: crash-recovery wall time
+	Queries       int              `json:"queries,omitempty"`        // layered-index query rows (BENCH_6)
 	Shards        int              `json:"shards,omitempty"`         // sharded-engine rows (BENCH_5)
 	SketchProbes  int64            `json:"sketch_probes,omitempty"`  // register-sketch pre-checks issued
 	SketchSkips   int64            `json:"sketch_skips,omitempty"`   // pairs discarded by the sketch
@@ -79,8 +72,8 @@ var jsonAlgos = []struct {
 	{"FilterRefineSky-nohub", func(ctx context.Context, g *graph.Graph) *core.Result {
 		return core.FilterRefineSkyCtx(ctx, g, core.Options{DisableHubIndex: true})
 	}},
-	{"ParallelFilterRefineSky-8", func(ctx context.Context, g *graph.Graph) *core.Result {
-		return core.ParallelFilterRefineSkyCtx(ctx, g, core.Options{}, 8)
+	{"ShardedFilterRefineSky-8", func(ctx context.Context, g *graph.Graph) *core.Result {
+		return core.ShardedFilterRefineSkyCtx(ctx, g, core.Options{}, core.ShardOptions{Workers: 8})
 	}},
 }
 

@@ -12,8 +12,8 @@ import (
 	"neisky/internal/graph"
 )
 
-// BENCH_5: the sharded filter/refine engine against the parallel
-// filter-phase bar on a million-scale, degree-relabeled mmap snapshot.
+// BENCH_5: the sharded filter/refine engine against the serial engine
+// on a million-scale, degree-relabeled mmap snapshot.
 //
 // Measurement protocol: contenders are INTERLEAVED — each round times
 // every contender once, and a contender's row reports its best round.
@@ -34,13 +34,9 @@ type ShardConfig struct {
 	// removed afterwards.
 	Dir string
 
-	// Workers sizes the parallel bar contenders (default 8, the JSON
-	// benchmark's convention).
-	Workers int
-
 	// ShardWorkers sizes the sharded rows' worker pool (default 1, so
 	// the shard-count sweep isolates partitioning and sketch effects
-	// from scheduling; set it to Workers for a combined row).
+	// from scheduling).
 	ShardWorkers int
 
 	// ShardCounts is the S sweep (default 1, 4, 16, 64).
@@ -65,9 +61,6 @@ func (c *ShardConfig) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Workers <= 0 {
-		c.Workers = 8
-	}
 	if c.ShardWorkers <= 0 {
 		c.ShardWorkers = 1
 	}
@@ -89,8 +82,7 @@ func (c *ShardConfig) printf(format string, args ...any) {
 type shardContender struct {
 	name    string
 	workers int
-	shards  int  // 0 for non-sharded rows
-	oracle  bool // verify Skyline/Candidates against the serial reference
+	shards  int // 0 for the serial row
 	run     func() *core.Result
 }
 
@@ -98,13 +90,11 @@ type shardContender struct {
 // snapshot, mmaps it, and writes the BENCH_5 rows to w:
 //
 //	FilterRefineSky                — the serial engine (also the oracle)
-//	ParallelFilterPhase-W          — the filter-phase bar
-//	ParallelFilterRefineSky-W      — the phase-split parallel engine
 //	ShardedFilterRefineSky-sS      — the fused sharded engine, S sweep
 //	ShardedFilterRefineSky-sS-nosketch — ablation at the largest S
 //
-// Every sharded row is oracle-verified: its skyline and candidate set
-// must equal the serial engine's exactly, or the run errors.
+// Every row is oracle-verified: its skyline and candidate set must
+// equal the serial reference run's exactly, or the run errors.
 func RunShardJSON(w io.Writer, cfg ShardConfig) error {
 	cfg.fill()
 	dir := cfg.Dir
@@ -161,21 +151,12 @@ func RunShardJSON(w io.Writer, cfg ShardConfig) error {
 		{name: "FilterRefineSky", run: func() *core.Result {
 			return core.FilterRefineSky(g, core.Options{})
 		}},
-		{name: fmt.Sprintf("ParallelFilterPhase-%d", cfg.Workers), workers: cfg.Workers,
-			run: func() *core.Result {
-				c, o, st, _ := core.ParallelFilterPhase(g, core.Options{}, cfg.Workers)
-				return &core.Result{Candidates: c, Dominator: o, Skyline: c, Stats: st}
-			}},
-		{name: fmt.Sprintf("ParallelFilterRefineSky-%d", cfg.Workers), workers: cfg.Workers,
-			oracle: true, run: func() *core.Result {
-				return core.ParallelFilterRefineSky(g, core.Options{}, cfg.Workers)
-			}},
 	}
 	for _, s := range cfg.ShardCounts {
 		s := s
 		contenders = append(contenders, shardContender{
 			name:    fmt.Sprintf("ShardedFilterRefineSky-s%d", s),
-			workers: cfg.ShardWorkers, shards: s, oracle: true,
+			workers: cfg.ShardWorkers, shards: s,
 			run: func() *core.Result {
 				return core.ShardedFilterRefineSky(g, core.Options{},
 					core.ShardOptions{Shards: s, Workers: cfg.ShardWorkers, Advise: mg.AdviseRange})
@@ -184,7 +165,7 @@ func RunShardJSON(w io.Writer, cfg ShardConfig) error {
 	ablS := cfg.ShardCounts[len(cfg.ShardCounts)-1]
 	contenders = append(contenders, shardContender{
 		name:    fmt.Sprintf("ShardedFilterRefineSky-s%d-nosketch", ablS),
-		workers: cfg.ShardWorkers, shards: ablS, oracle: true,
+		workers: cfg.ShardWorkers, shards: ablS,
 		run: func() *core.Result {
 			return core.ShardedFilterRefineSky(g, core.Options{},
 				core.ShardOptions{Shards: ablS, Workers: cfg.ShardWorkers,
@@ -213,13 +194,11 @@ func RunShardJSON(w io.Writer, cfg ShardConfig) error {
 	rows := make([]BenchRow, 0, len(contenders))
 	for i, c := range contenders {
 		res := last[i]
-		if c.oracle {
-			if !core.EqualSkylines(res.Skyline, ref.Skyline) {
-				return flushRows(w, rows, fmt.Errorf("bench: %s skyline differs from serial reference", c.name))
-			}
-			if res.Candidates != nil && !core.EqualSkylines(res.Candidates, ref.Candidates) {
-				return flushRows(w, rows, fmt.Errorf("bench: %s candidate set differs from serial reference", c.name))
-			}
+		if !core.EqualSkylines(res.Skyline, ref.Skyline) {
+			return flushRows(w, rows, fmt.Errorf("bench: %s skyline differs from serial reference", c.name))
+		}
+		if !core.EqualSkylines(res.Candidates, ref.Candidates) {
+			return flushRows(w, rows, fmt.Errorf("bench: %s candidate set differs from serial reference", c.name))
 		}
 		rows = append(rows, BenchRow{
 			Algo: c.name, Dataset: dataset, N: g.N(), M: g.M(),
@@ -229,6 +208,6 @@ func RunShardJSON(w io.Writer, cfg ShardConfig) error {
 			Source:       "mmap", Relabel: "on",
 		})
 	}
-	cfg.printf("shard: |R|=%d, all oracle rows verified against the serial engine\n", len(ref.Skyline))
+	cfg.printf("shard: |R|=%d, all rows verified against the serial engine\n", len(ref.Skyline))
 	return flushRows(w, rows, nil)
 }

@@ -13,7 +13,7 @@ import (
 // must produce the same skyline as (a) the brute-force oracle, which
 // deliberately never touches the hub index, and (b) its own legacy
 // merge-path run under DisableHubIndex — across option combinations and
-// parallel worker counts.
+// sharded-engine worker counts.
 
 func propertyGraphs() []struct {
 	name string
@@ -55,15 +55,9 @@ func TestBitsetKernelsMatchOracle(t *testing.T) {
 		{"FilterRefineSky", FilterRefineSky},
 		{"Base2Hop", Base2Hop},
 		{"BaseCSet", BaseCSet},
-		{"Parallel1", func(g *graph.Graph, o Options) *Result { return ParallelFilterRefineSky(g, o, 1) }},
-		{"Parallel2", func(g *graph.Graph, o Options) *Result {
-			o.NoParallelCutoff = true
-			return ParallelFilterRefineSky(g, o, 2)
-		}},
-		{"Parallel8", func(g *graph.Graph, o Options) *Result {
-			o.NoParallelCutoff = true
-			return ParallelFilterRefineSky(g, o, 8)
-		}},
+		{"Sharded1", func(g *graph.Graph, o Options) *Result { return shardedAt(g, o, 1) }},
+		{"Sharded2", func(g *graph.Graph, o Options) *Result { return shardedAt(g, o, 2) }},
+		{"Sharded8", func(g *graph.Graph, o Options) *Result { return shardedAt(g, o, 8) }},
 	}
 	optsCombos := []Options{
 		{},

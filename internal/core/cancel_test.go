@@ -61,53 +61,60 @@ func TestFilterRefineSkyCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestParallelFilterPhaseCancelMidRun cancels the sharded filter phase
-// mid-flight under the race detector's eye and asserts: no goroutine
-// leaks, and the surviving candidate set is still a sound superset of
-// the true skyline.
+// TestParallelFilterPhaseCancelMidRun cancels the sharded engine, with
+// the sharded path forced, at an early checkpoint under the race
+// detector's eye: no goroutine leaks, and the surviving candidate set
+// is still a sound superset of the true skyline.
 func TestParallelFilterPhaseCancelMidRun(t *testing.T) {
 	defer testleak.Check(t)()
 	g := gen.PowerLaw(3000, 12000, 2.3, 12)
 	truth := FilterRefineSky(g, Options{})
 
 	defer cancelAtSeq(2)()
-	res := ParallelFilterPhaseCtx(context.Background(), g, Options{NoParallelCutoff: true}, 4)
+	res := ShardedFilterRefineSkyCtx(context.Background(), g, Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
 	if !res.Truncated {
 		t.Fatal("expected Truncated after injected cancellation")
 	}
 	assertSuperset(t, res.Candidates, truth.Skyline, "candidates")
 }
 
-// TestParallelFilterRefineSkyCancelMidRun drives the full parallel
-// pipeline with a mid-run cancel: no leaks, sound partial skyline.
+// TestParallelFilterRefineSkyCancelMidRun drives the full sharded
+// pipeline with a later mid-run cancel: no leaks, the injected cause in
+// Result.Err, and both the partial skyline and the candidate list are
+// sound supersets of the true skyline.
 func TestParallelFilterRefineSkyCancelMidRun(t *testing.T) {
 	defer testleak.Check(t)()
 	g := gen.PowerLaw(3000, 12000, 2.3, 13)
 	truth := FilterRefineSky(g, Options{})
 
 	defer cancelAtSeq(5)()
-	res := ParallelFilterRefineSkyCtx(context.Background(), g, Options{NoParallelCutoff: true}, 4)
+	res := ShardedFilterRefineSkyCtx(context.Background(), g, Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
 	if !res.Truncated {
 		t.Fatal("expected Truncated after injected cancellation")
 	}
+	if !errors.Is(res.Err, faultinject.ErrInjected) {
+		t.Fatalf("Err = %v, want ErrInjected", res.Err)
+	}
 	assertSuperset(t, res.Skyline, truth.Skyline, "skyline")
+	assertSuperset(t, res.Candidates, truth.Skyline, "candidates")
 }
 
-// TestParallelFilterPhasePanicIsolated injects a worker panic into the
-// sharded filter phase: the process must survive, the panic must
-// surface once as Result.Err wrapping *PanicError, siblings must drain,
-// and no goroutine may leak.
-func TestParallelFilterPhasePanicIsolated(t *testing.T) {
-	defer testleak.Check(t)()
-	g := gen.PowerLaw(3000, 12000, 2.3, 14)
-
-	defer faultinject.Set(func(seq int64) faultinject.Action {
-		if seq == 2 {
+// panicAtSeq installs a fault hook that panics at checkpoint poll k;
+// the returned restore must be deferred.
+func panicAtSeq(k int64) func() {
+	return faultinject.Set(func(seq int64) faultinject.Action {
+		if seq == k {
 			return faultinject.ActionPanic
 		}
 		return faultinject.ActionNone
-	})()
-	res := ParallelFilterRefineSkyCtx(context.Background(), g, Options{NoParallelCutoff: true}, 4)
+	})
+}
+
+// assertInjectedPanic fails unless res is a run that a worker panic
+// stopped: truncated, the injected panic surfaced once as Result.Err
+// wrapping *PanicError, and the partial skyline a sound superset.
+func assertInjectedPanic(t *testing.T, res *Result, truth []int32) {
+	t.Helper()
 	if !res.Truncated {
 		t.Fatal("a worker panic must truncate the result")
 	}
@@ -118,26 +125,34 @@ func TestParallelFilterPhasePanicIsolated(t *testing.T) {
 	if _, ok := pe.Value.(*faultinject.InjectedPanic); !ok {
 		t.Fatalf("panic value = %v, want the injected panic", pe.Value)
 	}
+	assertSuperset(t, res.Skyline, truth, "skyline")
 }
 
-// TestParallelFilterPhasePanicPlainAPI pins the satellite fix for the
-// old process-kill bug: the non-context ParallelFilterPhase entry point
-// also recovers worker panics into an error instead of crashing.
+// TestParallelFilterPhasePanicIsolated injects a worker panic into the
+// sharded engine's context entry point: the process must survive, the
+// panic must surface as Result.Err, siblings must drain, and no
+// goroutine may leak. dynsky.New relies on exactly this: it panics when
+// its seeding run comes back truncated.
+func TestParallelFilterPhasePanicIsolated(t *testing.T) {
+	defer testleak.Check(t)()
+	g := gen.PowerLaw(3000, 12000, 2.3, 14)
+	truth := FilterRefineSky(g, Options{})
+
+	defer panicAtSeq(2)()
+	res := ShardedFilterRefineSkyCtx(context.Background(), g, Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
+	assertInjectedPanic(t, res, truth.Skyline)
+}
+
+// TestParallelFilterPhasePanicPlainAPI pins the same isolation on the
+// non-context ShardedFilterRefineSky entry point: a worker panic comes
+// back as an error instead of killing the process.
 func TestParallelFilterPhasePanicPlainAPI(t *testing.T) {
 	defer testleak.Check(t)()
 	g := gen.PowerLaw(2000, 8000, 2.3, 15)
+	truth := FilterRefineSky(g, Options{})
 
-	defer faultinject.Set(func(seq int64) faultinject.Action {
-		if seq == 1 {
-			return faultinject.ActionPanic
-		}
-		return faultinject.ActionNone
-	})()
-	_, _, _, err := ParallelFilterPhase(g, Options{NoParallelCutoff: true}, 4)
-	var pe *runctl.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *runctl.PanicError", err)
-	}
+	defer panicAtSeq(1)()
+	assertInjectedPanic(t, shardedAt(g, Options{}, 4), truth.Skyline)
 }
 
 // TestBudgetTruncatesSkyline bounds a skyline run by a work budget and
@@ -170,8 +185,8 @@ func TestCtxVariantsMatchPlainOnLiveContext(t *testing.T) {
 		{"BaseSkyCtx", func() *Result { return BaseSkyCtx(context.Background(), g, Options{}) }},
 		{"Base2HopCtx", func() *Result { return Base2HopCtx(context.Background(), g, Options{}) }},
 		{"BaseCSetCtx", func() *Result { return BaseCSetCtx(context.Background(), g, Options{}) }},
-		{"ParallelFilterRefineSkyCtx", func() *Result {
-			return ParallelFilterRefineSkyCtx(context.Background(), g, Options{}, 4)
+		{"ShardedFilterRefineSkyCtx", func() *Result {
+			return ShardedFilterRefineSkyCtx(context.Background(), g, Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
 		}},
 	} {
 		got := tc.run()

@@ -30,7 +30,7 @@ func FuzzSkylineOracle(f *testing.F) {
 			FilterRefineSky(g, Options{FullTwoHopScan: true}),
 			Base2Hop(g, Options{}),
 			BaseCSet(g, Options{}),
-			ParallelFilterRefineSky(g, Options{}, 2),
+			shardedAt(g, Options{}, 2),
 		} {
 			if !EqualSkylines(res.Skyline, oracle.Skyline) {
 				t.Fatalf("skyline mismatch on fuzzed graph %v: %v vs %v",

@@ -65,15 +65,17 @@ func TestFilterRefinePublishesObs(t *testing.T) {
 		t.Fatalf("bloom probes = %d, want %d", got, res.Stats.BloomProbes)
 	}
 
-	// Parallel path publishes under the same names.
+	// The sharded engine runs both phases in one pass, so it publishes
+	// one core.shard timer, which the serving benchmark's trace reads,
+	// and its counters under the same prefix.
 	r.Reset()
-	par := ParallelFilterRefineSky(g, Options{NoParallelCutoff: true}, 4)
+	sh := ShardedFilterRefineSky(g, Options{NoParallelCutoff: true}, ShardOptions{Workers: 4})
 	snap = r.Snapshot()
-	if snap.Timers["core.filter"].Count != 1 || snap.Timers["core.refine"].Count != 1 {
-		t.Fatalf("parallel run timers = %v", snap.Timers)
+	if st := snap.Timers["core.shard"]; st.Count != 1 || st.TotalNs <= 0 {
+		t.Fatalf("sharded run timers = %v", snap.Timers)
 	}
-	if got := snap.Counters["core.refine.pairs_examined"]; got != int64(par.Stats.PairsExamined) {
-		t.Fatalf("parallel pairs_examined = %d, want %d", got, par.Stats.PairsExamined)
+	if got, ok := snap.Counters["core.shard.pairs_examined"]; !ok || got != int64(sh.Stats.PairsExamined) {
+		t.Fatalf("core.shard.pairs_examined = %d (present %v), want %d", got, ok, sh.Stats.PairsExamined)
 	}
 
 	// Disabled: the same run must leave a fresh recorder untouched.

@@ -13,13 +13,17 @@ import (
 
 // Sharded filter/refine engine.
 //
-// ShardedFilterRefineSky recomputes Algorithm 3 over S contiguous,
-// work-balanced vertex shards (graph.PartitionShards). Three structural
-// differences from ParallelFilterRefineSky:
+// ShardedFilterRefineSky computes what serial Algorithm 3
+// (FilterRefineSky) computes — the same skyline, the same candidate set
+// and the same dominator liveness — over S contiguous, work-balanced
+// vertex shards (graph.PartitionShards) drained by a worker pool. It
+// differs from the serial engine in three ways:
 //
-//  1. The phases are FUSED and refine-first: each shard makes a single
-//     pass over its vertices, running the min-degree-pivot dominator
-//     scan directly while the vertex's adjacency rows are hot in cache.
+//  1. The phases are FUSED and refine-first. Algorithm 3 runs the
+//     filter phase (Algorithm 2) over every vertex and then refines the
+//     survivors; here each shard makes a single pass over its vertices,
+//     running the refine phase's min-degree-pivot dominator scan
+//     directly while the vertex's adjacency rows are hot in cache.
 //     This is sound without a prior filter pass because the pivot range
 //     N(v*) ∪ {v*} provably contains EVERY dominator of u — including
 //     the edge-adjacent ones Algorithm 2 looks for: if v ∈ N(u)
@@ -29,15 +33,16 @@ import (
 //     that were proven dominated; survivors are in R ⊆ C for free. On
 //     BENCH_3-style graphs where the filter prunes <10% of vertices,
 //     this deletes more than half of all containment pre-checks.
-//  2. Both the dominator scan and the candidate classification are
-//     fronted by per-vertex register sketches (internal/sketch): a
-//     32-byte thermometer-coded HLL summary of N(u) whose subset test
-//     has no false negatives, so a sketch rejection discards a pair
-//     without an exact adjacency merge and without touching the
-//     dominator array. The sketches are a per-snapshot index, built
-//     lazily and cached on the graph (graph.Sketches) exactly like the
-//     hub bitmaps; hub-covered dominators skip the sketch probe (their
-//     registers are saturated) and go straight to the exact bitmap.
+//  2. Per-vertex register sketches (internal/sketch) replace Algorithm
+//     3's single-hash Bloom filters in front of both the dominator scan
+//     and the candidate classification: a 32-byte thermometer-coded HLL
+//     summary of N(u) whose subset test has no false negatives, so a
+//     sketch rejection discards a pair without an exact adjacency merge
+//     and without touching the dominator array. The sketches are a
+//     per-snapshot index, built lazily and cached on the graph
+//     (graph.Sketches) exactly like the hub bitmaps; hub-covered
+//     dominators skip the sketch probe (their registers are saturated)
+//     and go straight to the exact bitmap.
 //  3. On degree-relabeled snapshots (graph.DegreeSorted) adjacency
 //     lists are non-increasing in degree, so the min-degree pivot is
 //     the LAST neighbor (O(1) instead of an O(deg) scan) and every
@@ -49,17 +54,21 @@ import (
 // rediscovers the mutual inclusion from its side (u lies in v's pivot
 // range, see point 1), so candidate and skyline membership stay
 // deterministic. Cross-shard reads (the liveness skip o[w] == w) use
-// atomic loads; a stale read is pessimistic only, and skipping a
-// freshly-dominated w is sound because domination chains end at skyline
-// vertices whose o entry never changes and whose chain top stays within
-// the 2-hop pivot range (the ParallelFilterRefineSky proof, which does
-// not depend on any filter phase having completed elsewhere). With
-// Workers == 1 the engine is fully deterministic for any shard count.
+// atomic loads, and o[w] changes at most once, from w to a dominator.
+// A stale read is therefore pessimistic only: it costs an exact check
+// the serial engine would have skipped. Skipping a freshly-dominated w
+// is sound for the reason the serial refine phase may skip any
+// dominated w: domination chains end at skyline vertices, whose o entry
+// never changes, and the chain top stays within u's 2-hop pivot range.
+// With Workers == 1 the engine is fully deterministic for any shard
+// count.
 //
 // Anytime contract: a truncated run leaves o[u] == u for every
 // unscanned vertex, so Skyline = collect(o) remains a sound superset of
 // R; Candidates is reset to that superset since partially-assembled
-// per-shard candidate lists are not one.
+// per-shard candidate lists are not one. Workers run panic-isolated: a
+// worker panic cancels its siblings and surfaces as a
+// *runctl.PanicError in Result.Err, with the same superset guarantee.
 //
 // Options interplay: KeepIsolated, DisableHubIndex and NoParallelCutoff
 // are honored. The Bloom machinery is never built (the sketches replace
@@ -67,6 +76,29 @@ import (
 // (PendantFilter, FullTwoHopScan, NoTwoHopDedup, BloomWords) do not
 // apply — the engine always runs the full filter predicate and the
 // pivot refine strategy, which compute the same skyline.
+
+// parallelCutoff is the CSR work size (n + 2m array entries) below
+// which the sharded engine runs serial Algorithm 3 instead. A sharded
+// run pays costs the serial one does not: an n-byte degree table, the
+// shard partition, a worker group and, on a graph's first run, the
+// sketch index. Most sharded runs are first runs: every skytree level
+// and every induced subgraph is a fresh graph, and so is each epoch
+// dynsky seeds from. Measured that way on a 2-vCPU Xeon (power-law
+// graphs, m ≈ 3n, 2 workers), the sharded engine only matched the
+// serial one, within 5%, at n + 2m ≈ 7k and 31k, and was 20% faster at
+// 140k. 2^16 entries (≈ 256 KiB of CSR) keeps every Table-I small
+// stand-in serial while livejournal- and orkut-scale graphs shard. Once
+// a graph's sketch index is built, sharding wins below the cutoff too
+// (0.55 ms against 1.1 ms at n + 2m ≈ 31k), so the cutoff is tuned for
+// first runs, which BenchmarkParallelCutoff measures.
+// Options.NoParallelCutoff is the ablation escape hatch.
+const parallelCutoff = 1 << 16
+
+// underParallelCutoff reports whether g is too small for the sharded
+// path to pay for itself.
+func underParallelCutoff(g *graph.Graph, opts Options) bool {
+	return !opts.NoParallelCutoff && g.N()+2*g.M() < parallelCutoff
+}
 
 // ShardOptions tune the sharded engine.
 type ShardOptions struct {
@@ -174,7 +206,7 @@ func shardedSkyRun(run *runctl.Run, g *graph.Graph, opts Options, so ShardOption
 	r.Add("core.shard.shards", int64(len(shards)))
 
 	// A live run even for background callers, so a worker panic cancels
-	// siblings promptly (same rationale as parallelFilterPhaseRun).
+	// siblings promptly instead of letting them run to completion.
 	run = runctl.Ensure(run)
 
 	load := func(v int32) int32 { return atomic.LoadInt32(&o[v]) }

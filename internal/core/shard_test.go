@@ -8,6 +8,7 @@ import (
 
 	"neisky/internal/gen"
 	"neisky/internal/graph"
+	"neisky/internal/rng"
 )
 
 // shardFixtures is the battery every sharded-oracle test sweeps: shapes
@@ -181,26 +182,33 @@ func TestShardedStatsSumAcrossShards(t *testing.T) {
 }
 
 // TestParallelFilterStatsCountHubHits is the companion regression for
-// the shared counters: the parallel filter phase must aggregate
-// per-worker HubHits (previously dropped — inclTest did not thread the
-// Stats pointer) and agree with the serial filter phase's totals.
+// the shared counters: at one worker and at several, the sharded engine
+// must fold every shard's HubHits and InclusionTests into Result.Stats
+// rather than drop them, and its candidate count must agree with the
+// serial filter phase's. The work counters are not compared with the
+// serial ones: the fused engine does different work.
 func TestParallelFilterStatsCountHubHits(t *testing.T) {
 	g := gen.PowerLaw(600, 3000, 2.5, 3)
-	_, _, serial := FilterPhase(g, Options{})
+	serialCand, _, _ := FilterPhase(g, Options{})
 	for _, w := range []int{1, 4} {
-		_, _, par, err := ParallelFilterPhase(g, Options{NoParallelCutoff: true}, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+		res := ShardedFilterRefineSky(g, Options{NoParallelCutoff: true}, ShardOptions{Shards: 8, Workers: w})
+		var hub, incl int
+		for _, st := range res.ShardStats {
+			hub += st.HubHits
+			incl += st.InclusionTests
 		}
-		if par.HubHits != serial.HubHits {
-			t.Errorf("workers=%d: HubHits %d, serial %d", w, par.HubHits, serial.HubHits)
+		if res.Stats.HubHits == 0 {
+			t.Fatalf("workers=%d: no hub hits counted", w)
 		}
-		if par.InclusionTests != serial.InclusionTests {
-			t.Errorf("workers=%d: InclusionTests %d, serial %d", w, par.InclusionTests, serial.InclusionTests)
+		if res.Stats.HubHits != hub {
+			t.Errorf("workers=%d: HubHits %d, shards sum to %d", w, res.Stats.HubHits, hub)
 		}
-	}
-	if serial.HubHits == 0 {
-		t.Skip("fixture produced no hub hits; counters compared but vacuously")
+		if res.Stats.InclusionTests != incl {
+			t.Errorf("workers=%d: InclusionTests %d, shards sum to %d", w, res.Stats.InclusionTests, incl)
+		}
+		if res.Stats.CandidateCount != len(serialCand) {
+			t.Errorf("workers=%d: CandidateCount %d, serial filter phase %d", w, res.Stats.CandidateCount, len(serialCand))
+		}
 	}
 }
 
@@ -272,4 +280,206 @@ func TestShardedCutoffFallsBackToSerial(t *testing.T) {
 	if !EqualSkylines(res.Skyline, forced.Skyline) {
 		t.Fatalf("fallback and forced runs disagree")
 	}
+}
+
+// The tests below pin the sharded engine's parallel execution against
+// the serial engine. The sharded path is forced with NoParallelCutoff
+// wherever the graph sits below the cutoff, or the comparison would
+// pit the serial engine against itself.
+
+// shardedAt runs the sharded engine with the given worker count, forced
+// past the small-graph cutoff.
+func shardedAt(g *graph.Graph, opts Options, workers int) *Result {
+	opts.NoParallelCutoff = true
+	return ShardedFilterRefineSky(g, opts, ShardOptions{Workers: workers})
+}
+
+func TestParallelMatchesSequential(t *testing.T) {
+	r := rng.New(404)
+	for trial := 0; trial < 30; trial++ {
+		g := randomGraph(r, 2+r.Intn(40), 0.1+0.5*r.Float64())
+		seq := FilterRefineSky(g, Options{})
+		for _, workers := range []int{2, 4, 8} {
+			par := shardedAt(g, Options{}, workers)
+			if !EqualSkylines(par.Skyline, seq.Skyline) {
+				t.Fatalf("workers=%d: sharded %v != sequential %v (edges %v)",
+					workers, par.Skyline, seq.Skyline, g.EdgeList())
+			}
+		}
+	}
+}
+
+// TestParallelStatsMerged guards against counters being dropped on the
+// floor when per-shard Stats are merged after the join: a run over a
+// graph with real domination work must report non-zero PairsExamined,
+// InclusionTests and HubHits, and the candidate count, a set size
+// rather than a work counter, must equal the sequential one exactly.
+func TestParallelStatsMerged(t *testing.T) {
+	g := gen.PowerLaw(2000, 8000, 2.2, 99)
+	seq := FilterRefineSky(g, Options{})
+	if seq.Stats.PairsExamined == 0 {
+		t.Fatalf("test graph too easy: sequential PairsExamined == 0")
+	}
+	if g.Hub().Hubs() == 0 {
+		t.Fatalf("test graph has no hub bitmaps: HubHits would be checked vacuously")
+	}
+	for _, workers := range []int{2, 8} {
+		par := shardedAt(g, Options{}, workers)
+		if par.Stats.PairsExamined == 0 {
+			t.Fatalf("workers=%d: PairsExamined lost in merge", workers)
+		}
+		if par.Stats.InclusionTests == 0 {
+			t.Fatalf("workers=%d: InclusionTests lost in merge", workers)
+		}
+		if par.Stats.HubHits == 0 {
+			t.Fatalf("workers=%d: HubHits lost in merge", workers)
+		}
+		if par.Stats.CandidateCount != seq.Stats.CandidateCount {
+			t.Fatalf("workers=%d: candidate count %d != sequential %d",
+				workers, par.Stats.CandidateCount, seq.Stats.CandidateCount)
+		}
+	}
+}
+
+// TestParallelFilterPhaseMatches checks the sharded engine's candidate
+// set, the output of its fused filter classification, is exactly
+// Algorithm 2's at several worker counts.
+func TestParallelFilterPhaseMatches(t *testing.T) {
+	r := rng.New(808)
+	for trial := 0; trial < 10; trial++ {
+		g := randomGraph(r, 5+r.Intn(60), 0.05+0.4*r.Float64())
+		seqCand, _, seqStats := FilterPhase(g, Options{})
+		for _, workers := range []int{1, 2, 8} {
+			res := shardedAt(g, Options{}, workers)
+			if res.Err != nil {
+				t.Fatalf("workers=%d: unexpected error: %v", workers, res.Err)
+			}
+			if !EqualSkylines(res.Candidates, seqCand) {
+				t.Fatalf("workers=%d: candidates %v != %v", workers, res.Candidates, seqCand)
+			}
+			if res.Stats.CandidateCount != seqStats.CandidateCount {
+				t.Fatalf("workers=%d: candidate count mismatch", workers)
+			}
+		}
+	}
+}
+
+func TestParallelOnPowerLaw(t *testing.T) {
+	g := gen.PowerLaw(3000, 9000, 2.2, 17)
+	seq := FilterRefineSky(g, Options{})
+	par := shardedAt(g, Options{}, 4)
+	if !EqualSkylines(par.Skyline, seq.Skyline) {
+		t.Fatalf("sharded disagrees on power-law graph: %d vs %d vertices",
+			len(par.Skyline), len(seq.Skyline))
+	}
+	// Dominators recorded by the sharded run must still be valid.
+	for v := int32(0); v < int32(g.N()); v++ {
+		if d := par.Dominator[v]; d != v && !Dominates(g, d, v) {
+			t.Fatalf("sharded run recorded invalid dominator %d for %d", d, v)
+		}
+	}
+}
+
+// TestParallelOptionsRespected: the sharded engine honors KeepIsolated
+// and ignores the Bloom and pendant-filter ablations, which change how
+// Algorithm 3 gets to its skyline but not the skyline itself.
+func TestParallelOptionsRespected(t *testing.T) {
+	g := gen.PowerLaw(500, 1500, 2.3, 3)
+	for _, opts := range []Options{
+		{DisableBloom: true},
+		{PendantFilter: true},
+		{KeepIsolated: true},
+	} {
+		seq := FilterRefineSky(g, opts)
+		par := shardedAt(g, opts, 4)
+		if !EqualSkylines(par.Skyline, seq.Skyline) {
+			t.Fatalf("opts %+v: sharded disagrees", opts)
+		}
+	}
+}
+
+func TestParallelEmptyGraphs(t *testing.T) {
+	for _, n := range []int{0, 1, 5} {
+		g := gen.Path(n)
+		seq := FilterRefineSky(g, Options{})
+		par := shardedAt(g, Options{}, 4)
+		if !EqualSkylines(par.Skyline, seq.Skyline) {
+			t.Fatalf("n=%d: sharded disagrees", n)
+		}
+	}
+}
+
+// TestParallelCutoffFallsBackToSerial pins the cutoff decision itself:
+// Table-I-small graphs route to the serial engine, the ablation flag
+// and genuinely large graphs do not.
+func TestParallelCutoffFallsBackToSerial(t *testing.T) {
+	small := gen.PowerLaw(4500, 13000, 2.3, 7)
+	if small.N()+2*small.M() >= parallelCutoff {
+		t.Fatalf("test graph grew past the cutoff: n+2m = %d", small.N()+2*small.M())
+	}
+	if !underParallelCutoff(small, Options{}) {
+		t.Errorf("small graph (n+2m = %d) should fall back to serial", small.N()+2*small.M())
+	}
+	if underParallelCutoff(small, Options{NoParallelCutoff: true}) {
+		t.Error("NoParallelCutoff must force the sharded path")
+	}
+	big := gen.PowerLaw(20000, 60000, 2.3, 7)
+	if big.N()+2*big.M() < parallelCutoff {
+		t.Fatalf("big test graph under the cutoff: n+2m = %d", big.N()+2*big.M())
+	}
+	if underParallelCutoff(big, Options{}) {
+		t.Error("large graph must keep the sharded path")
+	}
+
+	// The fallback must be invisible in results: same skyline, same
+	// candidate count, no error.
+	seq := FilterRefineSky(small, Options{})
+	par := ShardedFilterRefineSky(small, Options{}, ShardOptions{Workers: 8})
+	if par.Err != nil || par.Truncated {
+		t.Fatalf("fallback run failed: %v", par.Err)
+	}
+	if !EqualSkylines(par.Skyline, seq.Skyline) {
+		t.Fatalf("fallback skyline differs from serial")
+	}
+	if len(par.Candidates) != len(seq.Candidates) {
+		t.Fatalf("fallback candidates %d != serial %d", len(par.Candidates), len(seq.Candidates))
+	}
+}
+
+// BenchmarkParallelCutoff measures the tradeoff the cutoff encodes, on
+// a youtube-sim-sized graph (below the cutoff) that every run sees for
+// the first time, as skytree levels and dynsky seeds do:
+//
+//	Auto    — ShardedFilterRefineSky with the cutoff active (serial fallback)
+//	Forced  — the sharded path via the NoParallelCutoff ablation
+//	Serial  — the serial engine called directly, the floor Auto should hit
+//
+// Each iteration gets a fresh copy of the graph, made with the timer
+// stopped, so the per-graph hub and sketch indexes are built inside the
+// timed run. Forced pulling clearly ahead of Auto here means the cutoff
+// should come down.
+func BenchmarkParallelCutoff(b *testing.B) {
+	g := gen.PowerLaw(4500, 13000, 2.3, 7)
+	if g.N()+2*g.M() >= parallelCutoff {
+		b.Fatalf("benchmark graph grew past the cutoff: n+2m = %d", g.N()+2*g.M())
+	}
+	cold := func(b *testing.B, run func(*graph.Graph)) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh := g.Patch(nil, nil, g.M())
+			b.StartTimer()
+			run(fresh)
+		}
+	}
+	b.Run("Auto", func(b *testing.B) {
+		cold(b, func(h *graph.Graph) { ShardedFilterRefineSky(h, Options{}, ShardOptions{Workers: 8}) })
+	})
+	b.Run("Forced", func(b *testing.B) {
+		cold(b, func(h *graph.Graph) {
+			ShardedFilterRefineSky(h, Options{NoParallelCutoff: true}, ShardOptions{Workers: 8})
+		})
+	})
+	b.Run("Serial", func(b *testing.B) {
+		cold(b, func(h *graph.Graph) { FilterRefineSky(h, Options{}) })
+	})
 }

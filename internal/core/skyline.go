@@ -73,9 +73,9 @@ type Options struct {
 	DisableHubIndex bool
 
 	// NoParallelCutoff disables the small-graph serial fallback of the
-	// parallel skyline entry points, forcing the sharded path even
-	// below parallelCutoff (ablation; the cutoff benchmark uses it to
-	// measure the counterfactual).
+	// sharded engine, forcing the sharded path even below
+	// parallelCutoff (ablation; the cutoff benchmark uses it to measure
+	// the counterfactual).
 	NoParallelCutoff bool
 }
 

@@ -129,46 +129,11 @@ func ChungLu(w []float64, seed uint64) *graph.Graph {
 // dominant hub set, resembling web/social graphs.
 func BA(n, k int, seed uint64) *graph.Graph {
 	b := graph.NewBuilder(n)
-	if n <= 1 {
-		return b.Build()
-	}
-	if k < 1 {
-		k = 1
-	}
-	r := rng.New(seed)
-	// repeated holds every edge endpoint once; sampling uniformly from it
-	// is degree-proportional sampling.
-	repeated := make([]int32, 0, 2*n*k)
-	// Seed with a small clique of k+1 vertices (or fewer if n is tiny).
-	seedN := k + 1
-	if seedN > n {
-		seedN = n
-	}
-	for i := 0; i < seedN; i++ {
-		for j := i + 1; j < seedN; j++ {
-			b.AddEdge(int32(i), int32(j))
-			repeated = append(repeated, int32(i), int32(j))
-		}
-	}
-	chosen := make(map[int32]bool, k)
-	for v := seedN; v < n; v++ {
-		for id := range chosen {
-			delete(chosen, id)
-		}
-		for len(chosen) < k && len(chosen) < v {
-			var t int32
-			if len(repeated) == 0 {
-				t = int32(r.Intn(v))
-			} else {
-				t = repeated[r.Intn(len(repeated))]
-			}
-			chosen[t] = true
-		}
-		for t := range chosen {
-			b.AddEdge(int32(v), t)
-			repeated = append(repeated, int32(v), t)
-		}
-	}
+	// The emit callback never fails, so neither does StreamBA.
+	_ = StreamBA(n, k, seed, func(u, v int32) error {
+		b.AddEdge(u, v)
+		return nil
+	})
 	return b.Build()
 }
 

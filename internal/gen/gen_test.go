@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -150,9 +151,12 @@ func TestBA(t *testing.T) {
 	if g.MaxDegree() < 3*3 {
 		t.Fatalf("BA should grow hubs, dmax=%d", g.MaxDegree())
 	}
-	h := BA(500, 3, 17)
-	if h.M() != g.M() {
-		t.Fatal("BA not deterministic")
+	// M() is fixed by construction; only the edge lists show whether
+	// one seed gives one graph.
+	for i := 0; i < 20; i++ {
+		if h := BA(500, 3, 17); !slices.Equal(h.EdgeList(), g.EdgeList()) {
+			t.Fatal("BA not deterministic: same seed, different edges")
+		}
 	}
 }
 

@@ -124,10 +124,10 @@ func StreamChungLu(n, m int, beta float64, seed uint64, emit func(u, v int32) er
 	return nil
 }
 
-// StreamBA emits a Barabási–Albert preferential-attachment graph with
-// the same construction (and edge sequence, given equal seeds) as BA.
-// The endpoint multiset makes resident memory O(n·k) — inherent to
-// preferential attachment — which is still far below the built CSR.
+// StreamBA emits a Barabási–Albert preferential-attachment graph; BA
+// builds its graph from this edge sequence. The endpoint multiset makes
+// resident memory O(n·k) — inherent to preferential attachment — which
+// is still far below the built CSR.
 func StreamBA(n, k int, seed uint64, emit func(u, v int32) error) error {
 	if n <= 1 {
 		return nil
@@ -149,21 +149,27 @@ func StreamBA(n, k int, seed uint64, emit func(u, v int32) error) error {
 			repeated = append(repeated, int32(i), int32(j))
 		}
 	}
+	// targets lists v's distinct targets in the order they were first
+	// drawn; ranging over chosen instead would make one seed give a
+	// different graph on every call.
 	chosen := make(map[int32]bool, k)
+	targets := make([]int32, 0, k)
 	for v := seedN; v < n; v++ {
-		for id := range chosen {
-			delete(chosen, id)
-		}
-		for len(chosen) < k && len(chosen) < v {
+		clear(chosen)
+		targets = targets[:0]
+		for len(targets) < k && len(targets) < v {
 			var t int32
 			if len(repeated) == 0 {
 				t = int32(r.Intn(v))
 			} else {
 				t = repeated[r.Intn(len(repeated))]
 			}
-			chosen[t] = true
+			if !chosen[t] {
+				chosen[t] = true
+				targets = append(targets, t)
+			}
 		}
-		for t := range chosen {
+		for _, t := range targets {
 			if err := emit(int32(v), t); err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -38,6 +39,28 @@ func TestSlidingWindowStream(t *testing.T) {
 	for i := range ops {
 		if ops[i] != ops2[i] {
 			t.Fatal("stream not deterministic")
+		}
+	}
+}
+
+func TestStreamBADeterministic(t *testing.T) {
+	edges := func() [][2]int32 {
+		var out [][2]int32
+		if err := StreamBA(500, 3, 17, func(u, v int32) error {
+			out = append(out, [2]int32{u, v})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := edges()
+	if len(want) == 0 {
+		t.Fatal("StreamBA emitted no edges")
+	}
+	for i := 0; i < 20; i++ {
+		if !slices.Equal(edges(), want) {
+			t.Fatal("StreamBA not deterministic: same seed, different edge sequence")
 		}
 	}
 }

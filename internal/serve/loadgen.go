@@ -227,20 +227,7 @@ func runOne(ctx context.Context, client *http.Client, o LoadOptions, rng *rand.R
 	switch p := rng.Intn(100); {
 	case p < mixSkyline:
 		endpoint = 0
-		algo := []string{"filterrefine", "base", "cset"}[rng.Intn(3)]
-		// Exercise the parallel and sharded execution paths too: they
-		// share the filterrefine contract, so any algo mix stays
-		// answer-equivalent.
-		extra := ""
-		if algo == "filterrefine" {
-			switch rng.Intn(3) {
-			case 1:
-				extra = fmt.Sprintf("&workers=%d", 1+rng.Intn(8))
-			case 2:
-				extra = fmt.Sprintf("&shards=%d&workers=%d", 1+rng.Intn(16), 1+rng.Intn(8))
-			}
-		}
-		url = fmt.Sprintf("%s/v1/skyline?algo=%s&limit=64%s%s", o.BaseURL, algo, budget, extra)
+		url = fmt.Sprintf("%s/v1/skyline?limit=64%s", o.BaseURL, budget)
 	case p < mixSkyline+mixDominators:
 		endpoint = 1
 		ids := make([]byte, 0, 32)

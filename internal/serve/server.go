@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,10 +39,6 @@ type Options struct {
 	// EnableDebug mounts /debug/{pprof,vars,metrics} on the serving
 	// mux (deduplicated against obs.StartDebugServer).
 	EnableDebug bool
-	// MaxWorkers caps the per-query ?workers parallelism on the skyline
-	// and centrality endpoints; 0 = GOMAXPROCS. Requests asking for more
-	// are clamped, not rejected.
-	MaxWorkers int
 	// MaxInFlight caps concurrently-served /v1 requests across all
 	// endpoints (0 = unbounded). Requests past the cap are rejected with
 	// 429 + Retry-After instead of queueing. /healthz and /v1/stats stay
@@ -65,57 +60,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxList == 0 {
 		o.MaxList = 10000
 	}
-	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = runtime.GOMAXPROCS(0)
-	}
 	return o
-}
-
-// maxShards caps ?shards: far beyond any useful partition count while
-// keeping the per-shard bookkeeping allocation trivially bounded.
-const maxShards = 4096
-
-// parseWorkers reads ?workers, clamped to [1, MaxWorkers]; 0 means the
-// parameter was absent (engine default).
-func (s *Server) parseWorkers(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("workers")
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("bad workers %q (want a positive integer)", v)
-	}
-	if n > s.opts.MaxWorkers {
-		n = s.opts.MaxWorkers
-	}
-	return n, nil
-}
-
-// parseShards reads ?shards, clamped to [1, maxShards]; 0 means absent.
-func parseShards(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("shards")
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("bad shards %q (want a positive integer)", v)
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	return n, nil
-}
-
-// adviseOf returns the paging hint callback for mmap-backed snapshots
-// (nil otherwise), so the sharded engine can request read-ahead of each
-// shard's adjacency span.
-func adviseOf(pin *Pin) func(lo, hi int32) {
-	if mg, ok := pin.Snapshot().Closer.(*graph.Mapped); ok {
-		return mg.AdviseRange
-	}
-	return nil
 }
 
 // Server answers the /v1 query surface against an epoch-managed
@@ -322,57 +267,19 @@ func (s *Server) parseLimit(r *http.Request) (int, error) {
 
 type skylineResponse struct {
 	meta
-	Algo           string  `json:"algo"`
 	SkylineSize    int     `json:"skyline_size"`
 	Skyline        []int32 `json:"skyline"`
 	CandidatesSize int     `json:"candidates_size,omitempty"`
-	Workers        int     `json:"workers,omitempty"`
-	Shards         int     `json:"shards,omitempty"`
 }
 
-// skylineAlgos maps the ?algo values to the cancellable engines. The
-// quadratic oracle is deliberately absent: it cannot honor deadlines.
-var skylineAlgos = map[string]func(context.Context, *graph.Graph, core.Options) *core.Result{
-	"":             core.FilterRefineSkyCtx,
-	"filterrefine": core.FilterRefineSkyCtx,
-	"base":         core.BaseSkyCtx,
-	"2hop":         core.Base2HopCtx,
-	"cset":         core.BaseCSetCtx,
-}
-
-// handleSkyline serves GET
-// /v1/skyline?algo=&timeout=&budget=&limit=&workers=&shards=.
-// ?workers (clamped to Options.MaxWorkers) runs the parallel
-// filter/refine engine; ?shards runs the sharded engine over that many
-// contiguous vertex shards (mmap-backed snapshots get per-shard paging
-// hints). Both only apply to the filterrefine algorithm — ?shards on
-// any other algo is a 400. A truncated run still returns 200: the
-// listed set is a sound superset of the true skyline (the filter/refine
-// contract), flagged with truncated=true and the cause.
+// handleSkyline serves GET /v1/skyline?timeout=&budget=&limit= with
+// the paper's Algorithm 3 (FilterRefineSkyCtx). A truncated run still
+// returns 200: the listed set is a sound superset of the true skyline
+// (the filter/refine contract), flagged with truncated=true and the
+// cause.
 func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	algoName := r.URL.Query().Get("algo")
-	algo, ok := skylineAlgos[algoName]
-	if !ok {
-		writeErr(w, http.StatusBadRequest, "unknown algo %q (want filterrefine|base|2hop|cset)", algoName)
-		return
-	}
-	filterRefine := algoName == "" || algoName == "filterrefine"
-	workers, err := s.parseWorkers(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	shards, err := parseShards(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if (shards > 0 || workers > 0) && !filterRefine {
-		writeErr(w, http.StatusBadRequest, "workers/shards apply only to algo filterrefine, not %q", algoName)
 		return
 	}
 	limit, err := s.parseLimit(r)
@@ -393,32 +300,12 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	defer pin.Release()
 
 	g := pin.Graph()
-	name := (map[string]string{"": "FilterRefineSky", "filterrefine": "FilterRefineSky",
-		"base": "BaseSky", "2hop": "Base2Hop", "cset": "BaseCSet"})[algoName]
 	start := time.Now()
-	var res *core.Result
-	switch {
-	case shards > 0:
-		ew := workers
-		if ew == 0 {
-			ew = s.opts.MaxWorkers
-		}
-		res = core.ShardedFilterRefineSkyCtx(ctx, g, core.Options{},
-			core.ShardOptions{Shards: shards, Workers: ew, Advise: adviseOf(pin)})
-		name, workers = "ShardedFilterRefineSky", ew
-	case workers > 0:
-		res = core.ParallelFilterRefineSkyCtx(ctx, g, core.Options{}, workers)
-		name = "ParallelFilterRefineSky"
-	default:
-		res = algo(ctx, g, core.Options{})
-	}
+	res := core.FilterRefineSkyCtx(ctx, g, core.Options{})
 	resp := skylineResponse{
 		meta:        meta{Epoch: pin.Epoch(), N: g.N(), M: g.M(), ElapsedNs: time.Since(start).Nanoseconds()},
-		Algo:        name,
 		SkylineSize: len(res.Skyline),
 		Skyline:     clip(res.Skyline, limit),
-		Workers:     workers,
-		Shards:      shards,
 	}
 	if res.Candidates != nil {
 		resp.CandidatesSize = len(res.Candidates)
@@ -446,7 +333,6 @@ type centralityResponse struct {
 	Group     []int32 `json:"group"`
 	Value     float64 `json:"value"`
 	GainCalls int     `json:"gain_calls"`
-	Workers   int     `json:"workers,omitempty"`
 }
 
 // handleCentrality serves GET /v1/centrality/group?k=&measure=. It is
@@ -474,11 +360,6 @@ func (s *Server) handleCentrality(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "unknown measure %q (want closeness|harmonic)", q.Get("measure"))
 		return
 	}
-	workers, err := s.parseWorkers(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	ctx, cancel, err := s.queryContext(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -498,7 +379,7 @@ func (s *Server) handleCentrality(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sky := core.FilterRefineSkyCtx(ctx, g, core.Options{})
 	res := centrality.GreedyCtx(ctx, g, k, measure,
-		centrality.Options{Candidates: sky.Skyline, Lazy: true, PrunedBFS: true, Workers: workers})
+		centrality.Options{Candidates: sky.Skyline, Lazy: true, PrunedBFS: true})
 	resp := centralityResponse{
 		meta:      meta{Epoch: pin.Epoch(), N: g.N(), M: g.M(), ElapsedNs: time.Since(start).Nanoseconds()},
 		K:         k,
@@ -506,7 +387,6 @@ func (s *Server) handleCentrality(w http.ResponseWriter, r *http.Request) {
 		Group:     clip(res.Group, s.opts.MaxList),
 		Value:     res.Value,
 		GainCalls: res.GainCalls,
-		Workers:   workers,
 	}
 	// A truncated skyline is still a sound (superset) candidate pool,
 	// but the response must say the answer may differ from a full run.

@@ -89,28 +89,22 @@ func TestSkylineEndpointMatchesOracle(t *testing.T) {
 	_, ts := newTestServer(t, g, Options{})
 	want := core.BruteForce(g).Skyline
 
-	for _, algo := range []string{"", "filterrefine", "base", "2hop", "cset"} {
-		path := "/v1/skyline"
-		if algo != "" {
-			path += "?algo=" + algo
-		}
-		code, body := get(t, ts, path)
-		if code != http.StatusOK {
-			t.Fatalf("algo %q: status %d: %v", algo, code, body)
-		}
-		got := ids(body["skyline"])
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("algo %q: skyline %v, want %v", algo, got, want)
-		}
-		if body["truncated"] != false {
-			t.Fatalf("algo %q: unexpected truncation: %v", algo, body)
-		}
-		if int(body["skyline_size"].(float64)) != len(want) {
-			t.Fatalf("algo %q: skyline_size %v, want %d", algo, body["skyline_size"], len(want))
-		}
-		if int(body["epoch"].(float64)) != 1 {
-			t.Fatalf("algo %q: epoch %v, want 1", algo, body["epoch"])
-		}
+	code, body := get(t, ts, "/v1/skyline")
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %v", code, body)
+	}
+	got := ids(body["skyline"])
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("skyline %v, want %v", got, want)
+	}
+	if body["truncated"] != false {
+		t.Fatalf("unexpected truncation: %v", body)
+	}
+	if int(body["skyline_size"].(float64)) != len(want) {
+		t.Fatalf("skyline_size %v, want %d", body["skyline_size"], len(want))
+	}
+	if int(body["epoch"].(float64)) != 1 {
+		t.Fatalf("epoch %v, want 1", body["epoch"])
 	}
 }
 
@@ -381,7 +375,6 @@ func TestSwapValidation(t *testing.T) {
 func TestBadQueryParamsRejected(t *testing.T) {
 	_, ts := newTestServer(t, testGraph(), Options{})
 	for name, path := range map[string]string{
-		"bad algo":         "/v1/skyline?algo=quantum",
 		"bad timeout":      "/v1/skyline?timeout=yesterday",
 		"negative timeout": "/v1/skyline?timeout=-5s",
 		"bad budget":       "/v1/skyline?budget=lots",
@@ -401,6 +394,41 @@ func TestBadQueryParamsRejected(t *testing.T) {
 		if _, ok := body["error"]; !ok {
 			t.Errorf("%s: error body missing: %v", name, body)
 		}
+	}
+}
+
+// TestEngineParamsIgnored pins that the engine-picking parameters the
+// daemon no longer reads (?algo, ?workers, ?shards) are ignored like any
+// other unknown parameter: a client that still sends them, even with
+// values the old parsers rejected, gets the default answer.
+func TestEngineParamsIgnored(t *testing.T) {
+	g := testGraph()
+	_, ts := newTestServer(t, g, Options{})
+	want := fmt.Sprint(core.BruteForce(g).Skyline)
+	for _, path := range []string{
+		"/v1/skyline?algo=base&shards=4",
+		"/v1/skyline?algo=quantum",
+		"/v1/skyline?workers=-1&shards=nope",
+	} {
+		code, body := get(t, ts, path)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", path, code, body)
+		}
+		if got := fmt.Sprint(ids(body["skyline"])); got != want {
+			t.Fatalf("%s: skyline %s, want %s", path, got, want)
+		}
+	}
+
+	_, def := get(t, ts, "/v1/centrality/group?k=2")
+	code, body := get(t, ts, "/v1/centrality/group?k=2&workers=zero")
+	if code != http.StatusOK || fmt.Sprint(body["group"]) != fmt.Sprint(def["group"]) {
+		t.Fatalf("centrality with ?workers: status %d, group %v, want %v", code, body["group"], def["group"])
+	}
+
+	_, def = post(t, ts, "/v1/skyline/subset", `{"v":[0,1,2,3,4,5]}`)
+	code, body = post(t, ts, "/v1/skyline/subset?algo=bogus", `{"v":[0,1,2,3,4,5]}`)
+	if code != http.StatusOK || fmt.Sprint(body["skyline"]) != fmt.Sprint(def["skyline"]) {
+		t.Fatalf("subset with ?algo: status %d, skyline %v, want %v", code, body["skyline"], def["skyline"])
 	}
 }
 
@@ -598,8 +626,6 @@ func TestResponseShapeGolden(t *testing.T) {
 	collect("layers", code, body)
 	code, body = post(t, ts, "/v1/skyline/subset", `{"v":[0,1,2,3,4,5,6,7,8,9]}`)
 	collect("subset", code, body)
-	code, body = post(t, ts, "/v1/skyline/subset?algo=recompute", `{"v":[0,1,2,3,4,5,6,7,8,9]}`)
-	collect("subset-recompute", code, body)
 	code, body = get(t, ts, "/v1/skyline/explain?v=5")
 	collect("explain", code, body)
 	code, body = post(t, ts, "/v1/snapshot/swap", `{"ops":[{"add":true,"u":0,"v":2}]}`)

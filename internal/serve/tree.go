@@ -3,11 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"slices"
 	"strconv"
 	"time"
 
-	"neisky/internal/core"
 	"neisky/internal/skytree"
 )
 
@@ -93,33 +91,24 @@ type subsetRequest struct {
 
 type subsetResponse struct {
 	meta
-	Algo        string  `json:"algo"`
 	SubsetSize  int     `json:"subset_size"`
 	SkylineSize int     `json:"skyline_size"`
 	Skyline     []int32 `json:"skyline"`
-	// Probe counters from the tree-assisted scan (zero for recompute).
-	// Not omitempty: a zero count is a real measurement and the response
-	// shape must not depend on it.
+	// Probe counters from the tree-assisted scan. Not omitempty: a zero
+	// count is a real measurement and the response shape must not
+	// depend on it.
 	PairsExamined int `json:"pairs_examined"`
 	WitnessHits   int `json:"witness_hits"`
 }
 
-// handleSubset serves POST /v1/skyline/subset?algo=tree|recompute: the
-// neighborhood skyline of the subgraph induced by the posted vertex
-// set. The default (tree) answers against the full CSR with the layered
-// index steering the probe order — no induced graph is materialized;
-// recompute materializes the induced subgraph and runs the sharded
-// engine on it (the baseline BENCH_6 compares against). Both use the
-// KeepIsolated convention, so their skylines agree. On truncation the
-// listed set is a sound superset.
+// handleSubset serves POST /v1/skyline/subset: the neighborhood skyline
+// of the subgraph induced by the posted vertex set, under the
+// KeepIsolated convention. It answers against the full CSR with the
+// layered index steering the probe order — no induced graph is
+// materialized. On truncation the listed set is a sound superset.
 func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	algo := r.URL.Query().Get("algo")
-	if algo != "" && algo != "tree" && algo != "recompute" {
-		writeErr(w, http.StatusBadRequest, "unknown algo %q (want tree|recompute)", algo)
 		return
 	}
 	var req subsetRequest
@@ -164,40 +153,21 @@ func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	resp := subsetResponse{SubsetSize: len(sub)}
-	switch algo {
-	case "", "tree":
-		// A truncated index build still yields sound (partial) hints;
-		// the scan itself stays exact and carries the anytime contract.
-		t := pin.Snapshot().Tree(ctx)
-		res := skytree.SubsetSkylineCtx(ctx, g, t, sub)
-		resp.Algo = "SubsetSkyline"
-		resp.Skyline = clip(res.Skyline, s.opts.MaxList)
-		resp.SkylineSize = len(res.Skyline)
-		resp.PairsExamined = res.PairsExamined
-		resp.WitnessHits = res.WitnessHits
-		if res.Truncated {
-			resp.markTruncated("subset", res.Err)
-		}
-	case "recompute":
-		// InducedSubgraph keeps the given order, and the engine's ID
-		// tie-breaks need it ascending.
-		slices.Sort(sub)
-		ig, orig := g.InducedSubgraph(sub)
-		res := core.ShardedFilterRefineSkyCtx(ctx, ig, core.Options{KeepIsolated: true}, core.ShardOptions{})
-		out := make([]int32, len(res.Skyline))
-		for i, v := range res.Skyline {
-			out[i] = orig[v]
-		}
-		resp.Algo = "ShardedFilterRefineSky"
-		resp.Skyline = clip(out, s.opts.MaxList)
-		resp.SkylineSize = len(out)
-		if res.Truncated {
-			resp.markTruncated("subset", res.Err)
-		}
+	// A truncated index build still yields sound (partial) hints; the
+	// scan itself stays exact and carries the anytime contract.
+	t := pin.Snapshot().Tree(ctx)
+	res := skytree.SubsetSkylineCtx(ctx, g, t, sub)
+	resp := subsetResponse{
+		meta:          meta{Epoch: pin.Epoch(), N: g.N(), M: g.M(), ElapsedNs: time.Since(start).Nanoseconds()},
+		SubsetSize:    len(sub),
+		SkylineSize:   len(res.Skyline),
+		Skyline:       clip(res.Skyline, s.opts.MaxList),
+		PairsExamined: res.PairsExamined,
+		WitnessHits:   res.WitnessHits,
 	}
-	resp.meta = meta{Epoch: pin.Epoch(), N: g.N(), M: g.M(), ElapsedNs: time.Since(start).Nanoseconds(),
-		Truncated: resp.Truncated, Cause: resp.Cause}
+	if res.Truncated {
+		resp.markTruncated("subset", res.Err)
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

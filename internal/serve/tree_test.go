@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"neisky/internal/core"
 	"neisky/internal/skytree"
 )
 
@@ -81,21 +82,28 @@ func TestSubsetEndpointAlgosAgree(t *testing.T) {
 	reqBody := `{"v":[` + strings.Join(toks, ",") + `]}`
 	want := skytree.SubsetSkyline(g, tr, sub).Skyline
 
-	for _, algo := range []string{"", "tree", "recompute"} {
-		path := "/v1/skyline/subset"
-		if algo != "" {
-			path += "?algo=" + algo
-		}
-		code, body := post(t, ts, path, reqBody)
-		if code != http.StatusOK {
-			t.Fatalf("algo %q: status %d: %v", algo, code, body)
-		}
-		if got := ids(body["skyline"]); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("algo %q: skyline %v, want %v", algo, got, want)
-		}
-		if int(body["subset_size"].(float64)) != len(sub) {
-			t.Fatalf("algo %q: subset_size %v, want %d", algo, body["subset_size"], len(sub))
-		}
+	// The recompute answer: materialize the induced subgraph (sub is
+	// ascending, so the engine's ID tie-breaks carry over) and run the
+	// sharded engine on it under the same KeepIsolated convention.
+	ig, orig := g.InducedSubgraph(sub)
+	rec := core.ShardedFilterRefineSky(ig, core.Options{KeepIsolated: true}, core.ShardOptions{})
+	recompute := make([]int32, len(rec.Skyline))
+	for i, v := range rec.Skyline {
+		recompute[i] = orig[v]
+	}
+	if fmt.Sprint(recompute) != fmt.Sprint(want) {
+		t.Fatalf("recompute skyline %v, tree skyline %v", recompute, want)
+	}
+
+	code, body := post(t, ts, "/v1/skyline/subset", reqBody)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %v", code, body)
+	}
+	if got := ids(body["skyline"]); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("skyline %v, want %v", got, want)
+	}
+	if int(body["subset_size"].(float64)) != len(sub) {
+		t.Fatalf("subset_size %v, want %d", body["subset_size"], len(sub))
 	}
 }
 
@@ -109,8 +117,7 @@ func TestSubsetEndpointValidation(t *testing.T) {
 		{"/v1/skyline/subset", `{"v":[]}`, http.StatusBadRequest},
 		{"/v1/skyline/subset", `{}`, http.StatusBadRequest},
 		{"/v1/skyline/subset", `{"v":[0,1,2,3,4,5,6,7,8]}`, http.StatusBadRequest}, // > MaxList
-		{"/v1/skyline/subset?algo=bogus", `{"v":[0]}`, http.StatusBadRequest},
-		{"/v1/skyline/subset", `{"w":[0]}`, http.StatusBadRequest}, // unknown field
+		{"/v1/skyline/subset", `{"w":[0]}`, http.StatusBadRequest},                 // unknown field
 	} {
 		if code, body := post(t, ts, tc.path, tc.body); code != tc.want {
 			t.Fatalf("%s %s: status %d, want %d: %v", tc.path, tc.body, code, tc.want, body)
