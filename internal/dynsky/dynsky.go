@@ -10,14 +10,16 @@
 // maintainer recomputes the exact status of that affected set per
 // update; everything else is untouched.
 //
-// The same locality fixes the representation. The maintainer keeps the
-// immutable CSR it was seeded with and gives a vertex a private sorted
-// row only when an update touches it; every other row is read from the
-// CSR in place. Graph merges the private rows into a fresh CSR,
-// bulk-copying the untouched ranges, and rebases the maintainer onto
-// it. Seeding costs one sharded skyline run over the CSR, a batch costs
-// O(degree) per patched row plus the 2-hop recomputes, and neither
-// allocates per vertex.
+// The same locality fixes the representation. Rows keeps the immutable
+// CSR it was seeded with and gives a vertex a private sorted row only
+// when an update touches it; its Graph merges the private rows into a
+// fresh CSR, bulk-copying the untouched ranges. Rows is the one
+// representation of mutable graph state: the Maintainer here is Rows
+// plus level-0 status, internal/skytree's maintainer is Rows plus
+// layers, WAL recovery uses Rows alone, and all three apply batches
+// through ApplyRun. Seeding a Maintainer costs one sharded skyline run
+// over the CSR, a batch costs O(degree) per patched row plus the 2-hop
+// recomputes, and neither allocates per vertex.
 //
 // Per-update cost is O(Σ_{x∈affected} deg(pivot(x))·deg(x)) — output
 // sensitive in the size of the 2-hop neighborhoods around the touched
@@ -27,7 +29,6 @@ package dynsky
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"neisky/internal/core"
 	"neisky/internal/graph"
@@ -41,14 +42,7 @@ import (
 // (which may be an mmap) until Graph returns; callers must keep that
 // graph alive until then.
 type Maintainer struct {
-	base *graph.Graph // rows of vertices without a private row
-	// slot[u] > 0 means u's current row is rows[slot[u]-1]; 0 means
-	// base.Neighbors(u). touched lists the vertices with a private row.
-	slot    []int32
-	rows    [][]int32
-	touched []int32
-
-	edges     int
+	rows      *Rows
 	dominated []bool
 	skySize   int
 
@@ -63,9 +57,7 @@ type Maintainer struct {
 func New(g *graph.Graph) *Maintainer {
 	n := g.N()
 	m := &Maintainer{
-		base:      g,
-		slot:      make([]int32, n),
-		edges:     g.M(),
+		rows:      NewRows(g),
 		dominated: make([]bool, n),
 		mark:      make([]bool, n),
 	}
@@ -90,43 +82,21 @@ func NewEmpty(n int) *Maintainer {
 }
 
 // N returns the vertex count.
-func (m *Maintainer) N() int { return len(m.slot) }
+func (m *Maintainer) N() int { return m.rows.N() }
 
 // M returns the current edge count.
-func (m *Maintainer) M() int { return m.edges }
+func (m *Maintainer) M() int { return m.rows.M() }
 
 // Neighbors returns the current sorted adjacency row of u. The slice is
 // shared with the maintainer and valid only until the next update or
 // Graph call; callers must not modify it.
-func (m *Maintainer) Neighbors(u int32) []int32 {
-	if s := m.slot[u]; s > 0 {
-		return m.rows[s-1]
-	}
-	return m.base.Neighbors(u)
-}
+func (m *Maintainer) Neighbors(u int32) []int32 { return m.rows.Neighbors(u) }
 
 // Degree returns the current degree of u.
-func (m *Maintainer) Degree(u int32) int { return len(m.Neighbors(u)) }
+func (m *Maintainer) Degree(u int32) int { return m.rows.Degree(u) }
 
 // Has reports whether the edge (u, v) currently exists.
-func (m *Maintainer) Has(u, v int32) bool {
-	_, ok := slices.BinarySearch(m.Neighbors(u), v)
-	return ok
-}
-
-// Affected2Hop returns u, v and every vertex within two hops of either
-// under the CURRENT adjacency, in ascending order. The region whose
-// domination pairs an update can touch is the union of this set before
-// and after the update; an insertion only grows rows and a deletion only
-// shrinks them, so callers maintaining derived indexes (internal/skytree)
-// take it after an insertion and before a deletion.
-func (m *Maintainer) Affected2Hop(u, v int32) []int32 {
-	m.mark2Hop(u, v)
-	out := slices.Clone(m.marked)
-	m.unmark()
-	slices.Sort(out)
-	return out
-}
+func (m *Maintainer) Has(u, v int32) bool { return m.rows.Has(u, v) }
 
 // InSkyline reports whether v is currently in the skyline.
 func (m *Maintainer) InSkyline(v int32) bool { return !m.dominated[v] }
@@ -145,34 +115,17 @@ func (m *Maintainer) Skyline() []int32 {
 	return out
 }
 
-// Graph snapshots the current adjacency as an immutable CSR graph: the
-// private rows are merged into a fresh CSR and untouched rows are
-// bulk-copied from the current one. The maintainer then rebases onto
-// the result, so it no longer reads the graph it was seeded with. The
-// result is never that seed graph, even when no update changed it.
-func (m *Maintainer) Graph() *graph.Graph {
-	slices.Sort(m.touched)
-	rows := make([][]int32, len(m.touched))
-	for i, u := range m.touched {
-		rows[i] = m.rows[m.slot[u]-1]
-		m.slot[u] = 0
-	}
-	m.base = m.base.Patch(m.touched, rows, m.edges)
-	clear(m.rows)
-	m.rows = m.rows[:0]
-	m.touched = m.touched[:0]
-	return m.base
-}
+// Graph snapshots the current adjacency as an immutable CSR graph (see
+// Rows.Graph); the maintainer then no longer reads the graph it was
+// seeded with. The result is never that seed graph.
+func (m *Maintainer) Graph() *graph.Graph { return m.rows.Graph() }
 
 // AddEdge inserts the undirected edge (u, v) and updates the skyline.
 // It reports whether the edge was new. Self-loops are rejected.
 func (m *Maintainer) AddEdge(u, v int32) bool {
-	if u == v || m.Has(u, v) {
+	if !m.rows.AddEdge(u, v) {
 		return false
 	}
-	m.patch(u, v, true)
-	m.patch(v, u, true)
-	m.edges++
 	// Insertion only grows rows, so the 2-hop region after it contains
 	// the region before it.
 	m.mark2Hop(u, v)
@@ -189,29 +142,9 @@ func (m *Maintainer) RemoveEdge(u, v int32) bool {
 	// Deletion only shrinks rows, so the 2-hop region before it
 	// contains the region after it.
 	m.mark2Hop(u, v)
-	m.patch(u, v, false)
-	m.patch(v, u, false)
-	m.edges--
+	m.rows.RemoveEdge(u, v)
 	m.recompute()
 	return true
-}
-
-// patch inserts (add) or removes v in u's row, giving u a private copy
-// of its base row on first touch. v must be absent (add) or present.
-func (m *Maintainer) patch(u, v int32, add bool) {
-	if m.slot[u] == 0 {
-		b := m.base.Neighbors(u)
-		m.rows = append(m.rows, append(make([]int32, 0, len(b)+1), b...))
-		m.touched = append(m.touched, u)
-		m.slot[u] = int32(len(m.rows))
-	}
-	row := &m.rows[m.slot[u]-1]
-	i, _ := slices.BinarySearch(*row, v)
-	if add {
-		*row = slices.Insert(*row, i, v)
-	} else {
-		*row = slices.Delete(*row, i, i+1)
-	}
 }
 
 // mark2Hop adds {u, v} plus all vertices within two hops of u or v
@@ -235,20 +168,12 @@ func (m *Maintainer) visit(x int32) {
 	}
 }
 
-// unmark empties the marked set.
-func (m *Maintainer) unmark() {
-	for _, x := range m.marked {
-		m.mark[x] = false
-	}
-	m.marked = m.marked[:0]
-}
-
 // recompute refreshes the exact domination status of every marked
 // vertex and empties the marked set. An all-isolated graph flips status
 // globally when its last edge disappears or first edge appears, so that
 // case recomputes all.
 func (m *Maintainer) recompute() {
-	if m.edges <= 1 {
+	if m.M() <= 1 {
 		// Cheap and rare: near-edgeless graphs have global isolated
 		// tie-breaking, so refresh everything.
 		for v := int32(0); v < int32(m.N()); v++ {
@@ -261,7 +186,10 @@ func (m *Maintainer) recompute() {
 			m.setStatus(v, m.isDominated(v))
 		}
 	}
-	m.unmark()
+	for _, x := range m.marked {
+		m.mark[x] = false
+	}
+	m.marked = m.marked[:0]
 }
 
 func (m *Maintainer) setStatus(v int32, dominated bool) {
@@ -301,7 +229,7 @@ func (m *Maintainer) isDominated(x int32) bool {
 	if m.Degree(x) == 0 {
 		// Dominated by any non-isolated vertex; in an edgeless graph
 		// the minimum ID survives.
-		return m.edges > 0 || x != 0
+		return m.M() > 0 || x != 0
 	}
 	return m.dominator(x) >= 0
 }
@@ -355,7 +283,7 @@ type Op struct {
 // Apply executes a batch of updates and returns how many changed the
 // graph (inserts of new edges, deletes of existing ones).
 func (m *Maintainer) Apply(ops []Op) int {
-	_, applied, _ := m.applyRun(nil, ops)
+	_, applied, _ := ApplyRun(nil, ops, m.AddEdge, m.RemoveEdge)
 	return applied
 }
 
@@ -378,20 +306,27 @@ func (m *Maintainer) ApplyCtx(ctx context.Context, ops []Op) (applied int, err e
 func (m *Maintainer) ApplyPrefixCtx(ctx context.Context, ops []Op) (processed, applied int, err error) {
 	run := runctl.FromContext(ctx)
 	defer run.Release()
-	return m.applyRun(run, ops)
+	return ApplyRun(run, ops, m.AddEdge, m.RemoveEdge)
 }
 
-func (m *Maintainer) applyRun(run *runctl.Run, ops []Op) (processed, applied int, err error) {
-	cp := run.Checkpoint(1) // each op is already a 2-hop recompute
+// ApplyRun is the batch loop every edge-update consumer shares: it
+// applies ops in order through add and remove (each reporting whether
+// the graph changed), polling run between ops, and returns the
+// processed prefix length, how many of those ops changed the graph,
+// and the cause when run stopped the batch early. A nil run never
+// stops. Each op is atomic, so the caller's state is exactly
+// ops[:processed] applied.
+func ApplyRun(run *runctl.Run, ops []Op, add, remove func(u, v int32) bool) (processed, applied int, err error) {
+	cp := run.Checkpoint(1) // each op is already a multi-hop recompute
 	for _, op := range ops {
 		if cp.Tick() {
 			return processed, applied, run.Err()
 		}
 		if op.Add {
-			if m.AddEdge(op.U, op.V) {
+			if add(op.U, op.V) {
 				applied++
 			}
-		} else if m.RemoveEdge(op.U, op.V) {
+		} else if remove(op.U, op.V) {
 			applied++
 		}
 		processed++
@@ -399,12 +334,14 @@ func (m *Maintainer) applyRun(run *runctl.Run, ops []Op) (processed, applied int
 	return processed, applied, nil
 }
 
-// Dominators lists, for diagnostic purposes, one dominator per
-// currently-dominated vertex (computed on demand): the smallest-ID one.
-func (m *Maintainer) Dominators() map[int32]int32 {
-	out := make(map[int32]int32)
-	// An isolated vertex is dominated by the smallest non-isolated
-	// vertex, or by vertex 0 in an edgeless graph.
+// Dominators returns, for diagnostic purposes, one dominator per vertex
+// (computed on demand) in core.Result.Dominator's convention: out[x] ==
+// x exactly when x is in the skyline. A dominated vertex with a
+// neighbor gets its smallest-ID dominator. An isolated dominated vertex
+// gets the smallest non-isolated vertex, or vertex 0 in an edgeless
+// graph; that is a valid dominator but not always the smallest, since
+// an isolated vertex 0 also dominates every isolated vertex above it.
+func (m *Maintainer) Dominators() []int32 {
 	first := int32(0)
 	for w := int32(0); w < int32(m.N()); w++ {
 		if m.Degree(w) > 0 {
@@ -412,9 +349,11 @@ func (m *Maintainer) Dominators() map[int32]int32 {
 			break
 		}
 	}
+	out := make([]int32, m.N())
 	for x, d := range m.dominated {
 		switch x := int32(x); {
 		case !d:
+			out[x] = x
 		case m.Degree(x) == 0:
 			out[x] = first
 		default:

@@ -141,18 +141,36 @@ func TestDominatorsValid(t *testing.T) {
 	r := rng.New(5)
 	n := 12
 	m := NewEmpty(n)
+	valid := func(label string) {
+		t.Helper()
+		g := m.Graph()
+		doms := m.Dominators()
+		if len(doms) != n {
+			t.Fatalf("%s: %d entries for %d vertices", label, len(doms), n)
+		}
+		for x, w := range doms {
+			x := int32(x)
+			if (w == x) != m.InSkyline(x) {
+				t.Fatalf("%s: entry %d for vertex %d, InSkyline %v", label, w, x, m.InSkyline(x))
+			}
+			if w != x && !core.Dominates(g, w, x) {
+				t.Fatalf("%s: recorded dominator %d does not dominate %d (degree %d)", label, w, x, g.Degree(x))
+			}
+		}
+	}
+	valid("edgeless")
 	for i := 0; i < 30; i++ {
 		m.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
 	}
-	g := m.Graph()
-	for x, w := range m.Dominators() {
-		if m.InSkyline(x) {
-			t.Fatalf("dominator listed for skyline vertex %d", x)
-		}
-		if g.Degree(x) > 0 && !core.Dominates(g, w, x) {
-			t.Fatalf("recorded dominator %d does not dominate %d", w, x)
+	valid("random")
+	// Isolate vertices 0 and 1: their entries, and vertex 0's role as
+	// an isolated vertex below other isolated ones, are checked too.
+	for _, x := range []int32{0, 1} {
+		for _, w := range append([]int32(nil), m.Neighbors(x)...) {
+			m.RemoveEdge(x, w)
 		}
 	}
+	valid("isolated")
 }
 
 func TestApplyEdgeList(t *testing.T) {

@@ -40,7 +40,8 @@ type RecoveryStats struct {
 // plus the opened log positioned for appends.
 //
 // An initialized directory wins over base: the snapshot is the latest
-// checkpoint plus a dynsky replay of the acknowledged op tail, and base
+// checkpoint with the acknowledged op tail applied to its rows (no
+// skyline engine runs; see wal.Recovered.Latest), and base
 // (the -input flag) is ignored — durable state outranks boot-time
 // configuration. A fresh directory requires base and seeds the log with
 // an initial checkpoint of it, so recovery is well-defined from the
@@ -70,9 +71,8 @@ func OpenDurable(dir string, base *Snapshot, o wal.Options) (*Snapshot, *wal.Log
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("serve: wal recovery: %w", err)
 	}
-	m := r.Replay()
 	snap := &Snapshot{
-		Graph: m.Graph(),
+		Graph: r.Latest(),
 		Name:  fmt.Sprintf("wal:%s@%d", dir, r.LastSeq),
 	}
 	st := &RecoveryStats{

@@ -42,7 +42,7 @@ type Snapshot struct {
 	// heap-backed graphs.
 	Closer io.Closer
 	// Name records provenance for /v1/stats: a file path, a dataset
-	// name, or "batch:<applied>" for dynsky-applied update batches.
+	// name, or "batch:<applied>" for applied update batches.
 	Name string
 
 	// The layered dominance index of Graph, built lazily on the first

@@ -553,7 +553,7 @@ func (s *Server) handleDominators(w http.ResponseWriter, r *http.Request) {
 
 // swapRequest is the POST /v1/snapshot/swap body: either a snapshot
 // file to load, or a batch of edge updates to apply to the current
-// snapshot via internal/dynsky.
+// snapshot.
 type swapRequest struct {
 	Path string   `json:"path,omitempty"`
 	Mmap bool     `json:"mmap,omitempty"`
@@ -579,11 +579,11 @@ const maxSwapBody = 1 << 20
 
 // handleSwap serves POST /v1/snapshot/swap. The new snapshot is built
 // entirely off to the side — from a file, or by replaying an edge batch
-// through a dynsky maintainer seeded from the pinned current graph —
-// and published with one atomic store; in-flight queries keep their
-// pinned epoch until they drain. Batch swaps are serialized so each
-// derives from its predecessor. A cancelled batch publishes the exact
-// applied prefix (dynsky's per-op atomicity) with truncated=true.
+// through one maintainer seeded from the pinned current graph — and
+// published with one atomic store; in-flight queries keep their pinned
+// epoch until they drain. Batch swaps are serialized so each derives
+// from its predecessor. A cancelled batch publishes the exact applied
+// prefix (the maintainers' per-op atomicity) with truncated=true.
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
@@ -681,8 +681,10 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 	start := time.Now()
 	// If the outgoing snapshot has a built layered index, carry it over
 	// incrementally (skytree re-peels only each op's local region)
-	// instead of leaving the new epoch to a lazy from-scratch rebuild.
-	// A cancelled batch publishes the exact applied prefix either way.
+	// instead of leaving the new epoch to a lazy from-scratch rebuild;
+	// the carried layer 0 gives the skyline size, so no skyline engine
+	// runs. Without an index, dynsky's seeded status gives it. A
+	// cancelled batch publishes the exact applied prefix either way.
 	var processed, applied int
 	var applyErr error
 	var snap *Snapshot
@@ -691,8 +693,9 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 		tm := skytree.NewMaintainerFromTree(g, prev)
 		processed, applied, applyErr = tm.ApplyPrefixCtx(ctx, batch)
 		snap = &Snapshot{Graph: tm.Graph(), Name: fmt.Sprintf("batch:%d", applied)}
-		snap.SetTree(tm.Tree())
-		skySize = tm.Dyn().SkylineSize()
+		t := tm.Tree()
+		snap.SetTree(t)
+		skySize = t.SkylineSize(snap.Graph)
 	} else {
 		m := dynsky.New(g)
 		processed, applied, applyErr = m.ApplyPrefixCtx(ctx, batch)

@@ -1,0 +1,192 @@
+package serve
+
+import (
+	"cmp"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"testing"
+
+	"neisky/internal/core"
+	"neisky/internal/dynsky"
+	"neisky/internal/gen"
+	"neisky/internal/graph"
+	"neisky/internal/obs"
+	"neisky/internal/rng"
+	"neisky/internal/testleak"
+	"neisky/internal/wal"
+)
+
+// edgeModel is a test-local edge set on n vertices, mirrored batch by
+// batch against the daemon.
+type edgeModel struct {
+	n     int
+	edges map[[2]int32]bool
+}
+
+func newEdgeModel(g *graph.Graph) *edgeModel {
+	m := &edgeModel{n: g.N(), edges: map[[2]int32]bool{}}
+	for _, e := range g.EdgeList() {
+		m.edges[e] = true
+	}
+	return m
+}
+
+func (m *edgeModel) apply(ops []dynsky.Op) {
+	for _, op := range ops {
+		e := [2]int32{min(op.U, op.V), max(op.U, op.V)}
+		if op.Add {
+			m.edges[e] = true
+		} else {
+			delete(m.edges, e)
+		}
+	}
+}
+
+// list returns the edges in ascending order.
+func (m *edgeModel) list() [][2]int32 {
+	out := make([][2]int32, 0, len(m.edges))
+	for e := range m.edges {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	return out
+}
+
+// isolate returns a batch deleting every edge at x.
+func (m *edgeModel) isolate(x int32) []dynsky.Op {
+	var ops []dynsky.Op
+	for _, e := range m.list() {
+		if e[0] == x || e[1] == x {
+			ops = append(ops, dynsky.Op{U: e[0], V: e[1]})
+		}
+	}
+	return ops
+}
+
+// clearAll returns a batch deleting every edge.
+func (m *edgeModel) clearAll() []dynsky.Op {
+	var ops []dynsky.Op
+	for _, e := range m.list() {
+		ops = append(ops, dynsky.Op{U: e[0], V: e[1]})
+	}
+	return ops
+}
+
+func (m *edgeModel) skylineSize() int {
+	return len(core.BruteForce(graph.FromEdges(m.n, m.list())).Skyline)
+}
+
+// TestSwapSkylineSizeMatchesOracle checks the value of every batch
+// swap's skyline_size against brute force on a mirrored edge set, on
+// both swap branches: without an index (dynsky's maintained status) and
+// after a /v1/skyline/layers prewarm (derived from the carried layer
+// 0). The series includes a batch that isolates a vertex, one that
+// removes every edge (skyline {0}), and the first inserts after it.
+func TestSwapSkylineSizeMatchesOracle(t *testing.T) {
+	for _, carried := range []bool{false, true} {
+		t.Run(fmt.Sprintf("carried=%v", carried), func(t *testing.T) {
+			g := gen.ER(16, 0.3, 5)
+			srv, ts := newTestServer(t, g, Options{})
+			if carried {
+				if code, body := get(t, ts, "/v1/skyline/layers"); code != http.StatusOK {
+					t.Fatalf("prewarm: status %d: %v", code, body)
+				}
+			}
+			model := newEdgeModel(g)
+			r := rng.New(83)
+			var batches [][]dynsky.Op
+			for i := 0; i < 10; i++ {
+				batch := make([]dynsky.Op, 4)
+				for j := range batch {
+					u := int32(r.Intn(model.n))
+					v := (u + 1 + int32(r.Intn(model.n-1))) % int32(model.n)
+					batch[j] = dynsky.Op{Add: r.Intn(2) == 0, U: u, V: v}
+				}
+				batches = append(batches, batch)
+			}
+			swap := func(label string, batch []dynsky.Op) {
+				t.Helper()
+				code, body := post(t, ts, "/v1/snapshot/swap", opsBody(batch))
+				if code != http.StatusOK {
+					t.Fatalf("%s: status %d: %v", label, code, body)
+				}
+				model.apply(batch)
+				want := model.skylineSize()
+				if got, _ := body["skyline_size"].(float64); int(got) != want {
+					t.Fatalf("%s: skyline_size %v, brute force %d", label, body["skyline_size"], want)
+				}
+				pin := srv.Store().Acquire()
+				hasTree := pin.Snapshot().TreeIfBuilt() != nil
+				pin.Release()
+				if hasTree != carried {
+					t.Fatalf("%s: new epoch carries an index: %v, want %v", label, hasTree, carried)
+				}
+			}
+			for i, b := range batches {
+				swap(fmt.Sprintf("batch %d", i), b)
+			}
+			swap("isolate 3", model.isolate(3))
+			swap("remove every edge", model.clearAll())
+			if model.skylineSize() != 1 {
+				t.Fatal("edgeless oracle skyline is not {0}")
+			}
+			swap("first inserts", []dynsky.Op{{Add: true, U: 5, V: 9}, {Add: true, U: 9, V: 12}})
+		})
+	}
+}
+
+// TestCarriedSwapAndRecoveryRunNoSkylineEngine pins which swaps and
+// recoveries run a skyline engine, by counting the engines' obs spans
+// (core.filter, core.refine, core.shard). A swap that carries the
+// layered index and an OpenDurable recovery of a non-empty tail run
+// none; a swap without an index seeds dynsky with one run, which shows
+// the probe sees the engine when it runs.
+func TestCarriedSwapAndRecoveryRunNoSkylineEngine(t *testing.T) {
+	defer testleak.Check(t)()
+	rec := obs.New()
+	defer obs.Swap(obs.Swap(rec))
+	engineRuns := func() int64 {
+		s := rec.Snapshot()
+		return s.Timers["core.filter"].Count + s.Timers["core.refine"].Count + s.Timers["core.shard"].Count
+	}
+	swap := func(ts *httptest.Server, body string) {
+		t.Helper()
+		if code, resp := post(t, ts, "/v1/snapshot/swap", body); code != http.StatusOK {
+			t.Fatalf("swap: status %d: %v", code, resp)
+		}
+	}
+
+	dir := t.TempDir()
+	srv, ts, _ := newDurableServer(t, dir, testGraph(), Options{})
+	before := engineRuns()
+	swap(ts, `{"ops":[{"add":true,"u":0,"v":2}]}`)
+	if engineRuns() == before {
+		t.Fatal("no-index swap recorded no skyline engine span")
+	}
+
+	if code, body := get(t, ts, "/v1/skyline/layers"); code != http.StatusOK {
+		t.Fatalf("prewarm: status %d: %v", code, body)
+	}
+	before = engineRuns()
+	swap(ts, `{"ops":[{"add":true,"u":1,"v":3},{"add":false,"u":0,"v":2}]}`)
+	swap(ts, `{"ops":[{"add":true,"u":4,"v":7}]}`)
+	if got := engineRuns() - before; got != 0 {
+		t.Fatalf("carried-index swaps recorded %d skyline engine spans, want 0", got)
+	}
+	shutdown(ts, srv)
+
+	before = engineRuns()
+	_, l, st, err := OpenDurable(dir, nil, wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	defer l.Close()
+	if !st.Recovered || st.ReplayedOps == 0 {
+		t.Fatalf("recovery stats %+v, want a non-empty replayed tail", st)
+	}
+	if got := engineRuns() - before; got != 0 {
+		t.Fatalf("recovery recorded %d skyline engine spans, want 0", got)
+	}
+}

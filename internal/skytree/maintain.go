@@ -11,9 +11,10 @@ import (
 )
 
 // Maintainer keeps a layered dominance index exact under edge
-// insertions and deletions, unifying with internal/dynsky: the dynsky
-// maintainer owns the mutable adjacency (and its own level-0 skyline),
-// and the tree maintainer layers every vertex on top of it.
+// insertions and deletions. It holds the mutable adjacency as a
+// dynsky.Rows overlay on the seed CSR and the layer and parent arrays
+// on top of it; layer 0 is the skyline (KeepIsolated), so no separate
+// level-0 maintainer runs beside it (Tree.SkylineSize derives |R|).
 //
 // Locality. An update to edge (u, v) can flip a level-k domination
 // pair (w, x) only when the edge is incident to x or w, which confines
@@ -35,7 +36,7 @@ import (
 // (one that re-layers a hub's whole neighborhood) degrades gracefully
 // toward a full re-peel.
 type Maintainer struct {
-	dyn    *dynsky.Maintainer
+	rows   *dynsky.Rows
 	layer  []int32
 	parent []int32
 	counts []int // per-layer vertex counts (termination bound + stats)
@@ -56,9 +57,9 @@ func NewMaintainer(g *graph.Graph, opts BuildOptions) *Maintainer {
 // NewMaintainerFromTree seeds a maintainer from an existing complete
 // tree of g, skipping the from-scratch peel — the path the serving
 // daemon uses to carry the index across an edge-batch snapshot swap.
-// Truncated trees are rejected (their unassigned layers would poison
-// every locality argument). Like dynsky.New, the maintainer reads g's
-// storage until Graph returns.
+// It runs no skyline engine. Truncated trees are rejected (their
+// unassigned layers would poison every locality argument). Like
+// dynsky.Rows, the maintainer reads g's storage until Graph returns.
 func NewMaintainerFromTree(g *graph.Graph, t *Tree) *Maintainer {
 	if t.Truncated {
 		panic("skytree: NewMaintainerFromTree needs a complete tree")
@@ -67,7 +68,7 @@ func NewMaintainerFromTree(g *graph.Graph, t *Tree) *Maintainer {
 		panic(fmt.Sprintf("skytree: tree has %d vertices, graph %d", t.N(), g.N()))
 	}
 	m := &Maintainer{
-		dyn:    dynsky.New(g),
+		rows:   dynsky.NewRows(g),
 		layer:  append([]int32(nil), t.layer...),
 		parent: append([]int32(nil), t.parent...),
 	}
@@ -81,14 +82,10 @@ func NewMaintainerFromTree(g *graph.Graph, t *Tree) *Maintainer {
 }
 
 // N returns the vertex count.
-func (m *Maintainer) N() int { return m.dyn.N() }
+func (m *Maintainer) N() int { return m.rows.N() }
 
 // M returns the current edge count.
-func (m *Maintainer) M() int { return m.dyn.M() }
-
-// Dyn exposes the underlying dynsky maintainer (level-0 skyline,
-// adjacency queries).
-func (m *Maintainer) Dyn() *dynsky.Maintainer { return m.dyn }
+func (m *Maintainer) M() int { return m.rows.M() }
 
 // Layer returns v's current dominance layer.
 func (m *Maintainer) Layer(v int32) int32 { return m.layer[v] }
@@ -109,37 +106,41 @@ func (m *Maintainer) Tree() *Tree {
 	return t
 }
 
-// Graph snapshots the current adjacency as an immutable CSR graph.
-func (m *Maintainer) Graph() *graph.Graph { return m.dyn.Graph() }
+// Graph snapshots the current adjacency as an immutable CSR graph (see
+// dynsky.Rows.Graph).
+func (m *Maintainer) Graph() *graph.Graph { return m.rows.Graph() }
 
-// AddEdge inserts the undirected edge (u, v), updates the level-0
-// skyline (dynsky) and re-layers the affected region. Reports whether
-// the edge was new.
+// AddEdge inserts the undirected edge (u, v) and re-layers the affected
+// region. Reports whether the edge was new.
 func (m *Maintainer) AddEdge(u, v int32) bool {
-	if u == v || m.dyn.Has(u, v) {
+	if !m.rows.AddEdge(u, v) {
 		return false
 	}
-	m.dyn.AddEdge(u, v)
-	m.update(m.dyn.Affected2Hop(u, v))
+	// Insertion only grows rows: the 2-hop region after it contains
+	// the region before it.
+	m.seed(u, v)
+	m.update()
 	return true
 }
 
 // RemoveEdge deletes the undirected edge (u, v) and re-layers the
 // affected region. Reports whether the edge existed.
 func (m *Maintainer) RemoveEdge(u, v int32) bool {
-	if u == v || !m.dyn.Has(u, v) {
+	if u == v || !m.rows.Has(u, v) {
 		return false
 	}
-	seed := m.dyn.Affected2Hop(u, v)
-	m.dyn.RemoveEdge(u, v)
-	m.update(seed)
+	// Deletion only shrinks rows: the 2-hop region before it contains
+	// the region after it.
+	m.seed(u, v)
+	m.rows.RemoveEdge(u, v)
+	m.update()
 	return true
 }
 
 // Apply executes a batch of updates, returning how many changed the
 // graph.
 func (m *Maintainer) Apply(ops []dynsky.Op) int {
-	_, applied, _ := m.applyRun(nil, ops)
+	_, applied, _ := dynsky.ApplyRun(nil, ops, m.AddEdge, m.RemoveEdge)
 	return applied
 }
 
@@ -158,30 +159,12 @@ func (m *Maintainer) ApplyCtx(ctx context.Context, ops []dynsky.Op) (applied int
 func (m *Maintainer) ApplyPrefixCtx(ctx context.Context, ops []dynsky.Op) (processed, applied int, err error) {
 	run := runctl.FromContext(ctx)
 	defer run.Release()
-	return m.applyRun(run, ops)
-}
-
-func (m *Maintainer) applyRun(run *runctl.Run, ops []dynsky.Op) (processed, applied int, err error) {
-	cp := run.Checkpoint(1) // each op is already a multi-hop re-peel
-	for _, op := range ops {
-		if cp.Tick() {
-			return processed, applied, run.Err()
-		}
-		if op.Add {
-			if m.AddEdge(op.U, op.V) {
-				applied++
-			}
-		} else if m.RemoveEdge(op.U, op.V) {
-			applied++
-		}
-		processed++
-	}
-	return processed, applied, nil
+	return dynsky.ApplyRun(run, ops, m.AddEdge, m.RemoveEdge)
 }
 
 // view returns the level-predicate view over the live adjacency.
 func (m *Maintainer) view() levelView {
-	return levelView{g: m.dyn, layer: m.layer}
+	return levelView{g: m.rows, layer: m.layer}
 }
 
 // enter adds v to the dirty set, recording its current layer as the
@@ -195,19 +178,27 @@ func (m *Maintainer) enter(v int32) {
 	m.scratch.dirty = append(m.scratch.dirty, v)
 }
 
-// update re-layers the region an edge update can affect: the union of
-// the endpoints' 2-hop neighborhoods before and after the update, then
-// the cascade closure described on Maintainer. An insertion only grows
-// rows and a deletion only shrinks them, so that union is the 2-hop
-// region after an insertion and before a deletion.
-func (m *Maintainer) update(seed []int32) {
+// seed starts the dirty set of an update to edge (u, v) with u, v and
+// every vertex within two hops of either under the current rows.
+func (m *Maintainer) seed(u, v int32) {
+	m.scratch.dirty = m.scratch.dirty[:0]
+	for _, s := range [2]int32{u, v} {
+		m.enter(s)
+		for _, x := range m.rows.Neighbors(s) {
+			m.enter(x)
+			for _, y := range m.rows.Neighbors(x) {
+				m.enter(y)
+			}
+		}
+	}
+}
+
+// update re-layers the region an edge update can affect: the seeded
+// dirty set (the union of the endpoints' 2-hop neighborhoods before and
+// after the update), then the cascade closure described on Maintainer.
+func (m *Maintainer) update() {
 	r := obs.Get()
 	defer r.Start("skytree.update").End()
-
-	m.scratch.dirty = m.scratch.dirty[:0]
-	for _, v := range seed {
-		m.enter(v)
-	}
 
 	for {
 		m.peelLocal(m.scratch.dirty)
@@ -245,11 +236,11 @@ func (m *Maintainer) update(seed []int32) {
 func (m *Maintainer) absorb3Hop(v int32, grew *bool) {
 	pre := len(m.scratch.dirty)
 	m.enter(v)
-	for _, a := range m.dyn.Neighbors(v) {
+	for _, a := range m.rows.Neighbors(v) {
 		m.enter(a)
-		for _, b := range m.dyn.Neighbors(a) {
+		for _, b := range m.rows.Neighbors(a) {
 			m.enter(b)
-			for _, c := range m.dyn.Neighbors(b) {
+			for _, c := range m.rows.Neighbors(b) {
 				m.enter(c)
 			}
 		}

@@ -2,11 +2,11 @@ package skytree
 
 import (
 	"context"
-	"maps"
 	"runtime"
 	"slices"
 	"testing"
 
+	"neisky/internal/core"
 	"neisky/internal/dynsky"
 	"neisky/internal/gen"
 	"neisky/internal/graph"
@@ -30,6 +30,10 @@ func checkAgainstRebuild(t *testing.T, m *Maintainer, label string) {
 		}
 		t.Fatalf("%s: trees differ", label)
 	}
+	g := m.Graph()
+	if size, want := got.SkylineSize(g), len(core.BruteForce(g).Skyline); size != want {
+		t.Fatalf("%s: SkylineSize %d, brute-force skyline has %d; edges %v", label, size, want, g.EdgeList())
+	}
 }
 
 // stream runs ops random updates on g, checking the oracle after every
@@ -47,7 +51,7 @@ func stream(t *testing.T, g *graph.Graph, seed uint64, ops int, label string) {
 		}
 		// Bias toward inserts early, deletes late, so the stream both
 		// grows and shreds structure.
-		if m.dyn.Has(u, v) {
+		if m.rows.Has(u, v) {
 			m.RemoveEdge(u, v)
 		} else {
 			m.AddEdge(u, v)
@@ -161,7 +165,7 @@ func TestMaintainerFromTreeCarryOver(t *testing.T) {
 		if u == v {
 			continue
 		}
-		if m.dyn.Has(u, v) {
+		if m.rows.Has(u, v) {
 			m.RemoveEdge(u, v)
 		} else {
 			m.AddEdge(u, v)
@@ -208,7 +212,7 @@ func TestStreamDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	ops := churn(g, 1000, 18)
 	type outcome struct {
 		sky   []int32
-		doms  map[int32]int32
+		doms  []int32
 		edges [][2]int32
 		tree  *Tree
 	}
@@ -216,13 +220,15 @@ func TestStreamDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		m := NewMaintainer(g, BuildOptions{})
 		m.Apply(ops)
-		return outcome{m.Dyn().Skyline(), m.Dyn().Dominators(), m.Graph().EdgeList(), m.Tree()}
+		d := dynsky.New(g)
+		d.Apply(ops)
+		return outcome{d.Skyline(), d.Dominators(), m.Graph().EdgeList(), m.Tree()}
 	}
 	a, b := run(1), run(2)
 	switch {
 	case !slices.Equal(a.sky, b.sky):
 		t.Fatal("Skyline differs between GOMAXPROCS 1 and 2")
-	case !maps.Equal(a.doms, b.doms):
+	case !slices.Equal(a.doms, b.doms):
 		t.Fatal("Dominators differ between GOMAXPROCS 1 and 2")
 	case !slices.Equal(a.edges, b.edges):
 		t.Fatal("Graph().EdgeList() differs between GOMAXPROCS 1 and 2")

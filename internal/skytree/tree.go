@@ -118,35 +118,30 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opts BuildOptions) *Tree {
 		if remaining == 0 {
 			break
 		}
-		// Materialize the next remainder: everything not yet layered.
+		// Materialize the next remainder: everything not yet layered,
+		// in original IDs (keep) and in cur's IDs (local, a survivor's
+		// position in orig).
 		keep := make([]int32, 0, remaining)
+		var local []int32
 		if orig == nil {
 			for v := int32(0); v < n; v++ {
 				if t.layer[v] < 0 {
 					keep = append(keep, v)
 				}
 			}
+			local = keep
 		} else {
-			for _, v := range orig {
+			local = make([]int32, 0, remaining)
+			for i, v := range orig {
 				if t.layer[v] < 0 {
 					keep = append(keep, v)
+					local = append(local, int32(i))
 				}
 			}
 		}
 		// keep is ascending in original IDs, so the dense relabeling is
 		// order-preserving and every level's ID tie-breaks agree with
 		// the original graph's.
-		local := keep
-		if orig != nil {
-			local = make([]int32, len(keep))
-			idx := make(map[int32]int32, len(orig))
-			for i, ov := range orig {
-				idx[ov] = int32(i)
-			}
-			for i, ov := range keep {
-				local[i] = idx[ov]
-			}
-		}
 		cur, _ = cur.InducedSubgraph(local)
 		orig = keep
 	}
@@ -273,6 +268,23 @@ func (t *Tree) Children(v int32) []int32 {
 		}
 	})
 	return t.children[v]
+}
+
+// SkylineSize returns |R| for g, the graph t indexes, under the
+// definitional treatment of isolated vertices that core uses by
+// default. Layer 0 keeps isolated vertices (KeepIsolated), but an
+// isolated vertex is dominated by any vertex with a neighbor and can
+// itself dominate only another isolated vertex. So when g has an edge,
+// R is layer 0 minus g's isolated vertices; an edgeless non-empty graph
+// has R = {0}. t must be complete.
+func (t *Tree) SkylineSize(g *graph.Graph) int {
+	switch {
+	case g.M() > 0:
+		return len(t.LayerVertices(0)) - g.DegreeHist()[0]
+	case g.N() > 0:
+		return 1
+	}
+	return 0
 }
 
 // Equal reports whether two trees assign identical layers and parents

@@ -3,7 +3,7 @@ package skytree
 // graphAdj is the adjacency the level-filtered dominance predicates
 // read. Both the immutable CSR (*graph.Graph: construction, subset
 // queries) and the incremental maintainer's patched CSR
-// (*dynsky.Maintainer) satisfy it, so one set of predicates serves the
+// (*dynsky.Rows) satisfy it, so one set of predicates serves the
 // build and the maintenance path. Rows are sorted ascending.
 type graphAdj interface {
 	Degree(u int32) int

@@ -15,8 +15,8 @@ import (
 
 // Recovered is the durable state reassembled from a log directory: the
 // latest loadable checkpoint snapshot plus the intact record tail after
-// it. Applying Ops (in order) to Graph through internal/dynsky yields
-// the state of the last acknowledged-and-durable record — the recovery
+// it. Applying Ops (in order) to Graph, as Latest does, yields the
+// state of the last acknowledged-and-durable record — the recovery
 // invariant the crash battery proves.
 type Recovered struct {
 	// Graph is the latest checkpoint snapshot, nil when the directory
@@ -116,13 +116,21 @@ func Recover(dir string) (*Recovered, error) {
 	return r, nil
 }
 
-// Replay rebuilds a dynsky maintainer from the recovered state —
-// checkpoint graph plus tail ops — which is oracle-equal to applying
-// the same acknowledged batches through internal/dynsky live.
+// Latest applies the op tail to the checkpoint graph and returns the
+// recovered graph. The tail is applied to a dynsky.Rows overlay, so
+// only the rows it touches are patched and no skyline engine runs. The
+// result never shares storage with Graph.
+func (r *Recovered) Latest() *graph.Graph {
+	rows := dynsky.NewRows(r.Graph)
+	dynsky.ApplyRun(nil, r.Ops, rows.AddEdge, rows.RemoveEdge)
+	return rows.Graph()
+}
+
+// Replay seeds a dynsky maintainer on the recovered graph (Latest),
+// which is oracle-equal to applying the same acknowledged batches
+// through internal/dynsky live.
 func (r *Recovered) Replay() *dynsky.Maintainer {
-	m := dynsky.New(r.Graph)
-	m.Apply(r.Ops)
-	return m
+	return dynsky.New(r.Latest())
 }
 
 // tailInfo is one segment's scan verdict.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,11 +50,15 @@ func oracle(base *graph.Graph, batches [][]dynsky.Op) *dynsky.Maintainer {
 	return m
 }
 
-// sameState asserts two maintainers agree on graph shape and skyline.
+// sameState asserts two maintainers agree on graph shape, edge list
+// and skyline.
 func sameState(t *testing.T, got, want *dynsky.Maintainer, label string) {
 	t.Helper()
 	if got.N() != want.N() || got.M() != want.M() {
 		t.Fatalf("%s: n/m = %d/%d, want %d/%d", label, got.N(), got.M(), want.N(), want.M())
+	}
+	if !slices.Equal(got.Graph().EdgeList(), want.Graph().EdgeList()) {
+		t.Fatalf("%s: edge lists differ", label)
 	}
 	a, b := got.Skyline(), want.Skyline()
 	if len(a) != len(b) {

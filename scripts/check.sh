@@ -1,7 +1,8 @@
 #!/bin/sh
-# Repo gate: gofmt, vet, build, full tests, race-test the hot packages,
-# then smoke the Fig 3 benchmarks (including the large hub-bitmap
-# variants) once. CI runs this via `make ci`.
+# Repo gate: gofmt, vet, build, full tests, vet and test the nested
+# servebench module, race-test the hot packages, then smoke the Fig 3
+# benchmarks (including the large hub-bitmap variants) once. CI runs
+# this via `make ci`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,6 +23,12 @@ go build ./...
 
 echo "== go test (full) =="
 go test ./...
+
+# servebench is its own module, so ./... above skips it; it calls
+# library functions by name, and a rename must fail here, not in the
+# next benchmark run.
+echo "== servebench module (vet + test) =="
+(cd servebench && go vet ./... && go test ./...)
 
 echo "== go test -race (hot packages + cancellation/fault-injection + epoch swaps) =="
 go test -race ./internal/core/... ./internal/graph/... ./internal/bitset/... \
