@@ -71,7 +71,7 @@ type Server struct {
 	store  *Store
 	opts   Options
 	mux    *http.ServeMux
-	swapMu sync.Mutex // serializes batch swaps: each derives from the then-current epoch
+	swapMu sync.Mutex // serializes swaps and checkpoints: each batch derives from the then-current epoch
 	start  time.Time
 	adm    *admission // bounded in-flight gate (nil = unbounded)
 
@@ -90,13 +90,13 @@ func New(snap *Snapshot, opts Options) *Server {
 func NewFromStore(store *Store, opts Options) *Server {
 	s := &Server{store: store, opts: opts.withDefaults(), mux: http.NewServeMux(), start: time.Now()}
 	s.adm = newAdmission(s.opts)
-	s.mux.HandleFunc("/v1/skyline", s.instrument("skyline", s.handleSkyline))
-	s.mux.HandleFunc("/v1/skyline/layers", s.instrument("layers", s.handleLayers))
-	s.mux.HandleFunc("/v1/skyline/subset", s.instrument("subset", s.handleSubset))
-	s.mux.HandleFunc("/v1/skyline/explain", s.instrument("explain", s.handleExplain))
-	s.mux.HandleFunc("/v1/centrality/group", s.instrument("centrality", s.handleCentrality))
-	s.mux.HandleFunc("/v1/clique", s.instrument("clique", s.handleClique))
-	s.mux.HandleFunc("/v1/dominators", s.instrument("dominators", s.handleDominators))
+	s.mux.HandleFunc("/v1/skyline", s.read("skyline", http.MethodGet, s.skyline))
+	s.mux.HandleFunc("/v1/skyline/layers", s.read("layers", http.MethodGet, s.layers))
+	s.mux.HandleFunc("/v1/skyline/subset", s.read("subset", http.MethodPost, s.subset))
+	s.mux.HandleFunc("/v1/skyline/explain", s.read("explain", http.MethodGet, s.explain))
+	s.mux.HandleFunc("/v1/centrality/group", s.read("centrality", http.MethodGet, s.centrality))
+	s.mux.HandleFunc("/v1/clique", s.read("clique", http.MethodGet, s.clique))
+	s.mux.HandleFunc("/v1/dominators", s.read("dominators", http.MethodGet, s.dominators))
 	s.mux.HandleFunc("/v1/snapshot/swap", s.instrument("swap", s.handleSwap))
 	s.mux.HandleFunc("/v1/checkpoint", s.instrument("checkpoint", s.handleCheckpoint))
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -133,6 +133,25 @@ type meta struct {
 	ElapsedNs int64  `json:"elapsed_ns"`
 	Truncated bool   `json:"truncated"`
 	Cause     string `json:"cause,omitempty"`
+}
+
+// response is a read endpoint's answer: a struct embedding meta, whose
+// envelope the read skeleton fills.
+type response interface{ envelope() *meta }
+
+func (m *meta) envelope() *meta { return m }
+
+// markTruncated fills the anytime markers.
+func (m *meta) markTruncated(err error) {
+	m.Truncated = true
+	m.Cause = runctl.CauseString(err)
+}
+
+// countTruncated bumps the per-endpoint truncation counter.
+func countTruncated(endpoint string) {
+	if rec := obs.Get(); rec != nil {
+		rec.Add("serve."+endpoint+".truncated", 1)
+	}
 }
 
 type errorResponse struct {
@@ -189,14 +208,51 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// markTruncated fills the anytime markers and bumps the per-endpoint
-// truncation counter.
-func (m *meta) markTruncated(endpoint string, err error) {
-	m.Truncated = true
-	m.Cause = runctl.CauseString(err)
-	if rec := obs.Get(); rec != nil {
-		rec.Add("serve."+endpoint+".truncated", 1)
-	}
+// readFunc answers one read endpoint on the pinned epoch: it parses its
+// own parameters and computes under ctx. A returned error is a bad
+// request, answered with 400 and the error's text.
+type readFunc func(ctx context.Context, r *http.Request, pin *Pin) (response, error)
+
+// read is the one skeleton of the seven /v1 read endpoints. Inside
+// instrument's admission gate and counters it checks the method, caps
+// the request body, derives the query context and pins the current
+// epoch; after the endpoint has run it fills the envelope (epoch, n, m,
+// elapsed_ns), counts a truncated answer and writes the JSON. Swaps,
+// checkpoints, stats and healthz keep their own handlers, because a
+// batch swap must take swapMu before it pins.
+func (s *Server) read(name, method string, h readFunc) http.HandlerFunc {
+	return s.instrument(name, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			writeErr(w, http.StatusMethodNotAllowed, "%s only", method)
+			return
+		}
+		r.Body = http.MaxBytesReader(w, r.Body, maxSwapBody)
+		ctx, cancel, err := s.queryContext(r)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		defer cancel()
+		pin := s.acquire(w)
+		if pin == nil {
+			return
+		}
+		defer pin.Release()
+
+		start := time.Now()
+		resp, err := h(ctx, r, pin)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		m, g := resp.envelope(), pin.Graph()
+		m.Epoch, m.N, m.M = pin.Epoch(), g.N(), g.M()
+		m.ElapsedNs = time.Since(start).Nanoseconds()
+		if m.Truncated {
+			countTruncated(name)
+		}
+		writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // queryContext derives the per-query context: the request context (a
@@ -245,14 +301,8 @@ func (s *Server) acquire(w http.ResponseWriter) *Pin {
 	return pin
 }
 
-func (s *Server) limit(q int) int {
-	if q <= 0 || q > s.opts.MaxList {
-		return s.opts.MaxList
-	}
-	return q
-}
-
-// parseLimit reads ?limit, defaulting to (and capping at) MaxList.
+// parseLimit reads ?limit, defaulting to (and capping at) MaxList; 0
+// also means MaxList.
 func (s *Server) parseLimit(r *http.Request) (int, error) {
 	v := r.URL.Query().Get("limit")
 	if v == "" {
@@ -262,7 +312,23 @@ func (s *Server) parseLimit(r *http.Request) (int, error) {
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("bad limit %q (want a non-negative integer)", v)
 	}
-	return s.limit(n), nil
+	if n == 0 || n > s.opts.MaxList {
+		return s.opts.MaxList, nil
+	}
+	return n, nil
+}
+
+// parseK reads ?k as a positive integer, def when absent.
+func parseK(r *http.Request, def int) (int, error) {
+	v := r.URL.Query().Get("k")
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("bad k %q (want a positive integer)", v)
+	}
+	return n, nil
 }
 
 type skylineResponse struct {
@@ -272,48 +338,26 @@ type skylineResponse struct {
 	CandidatesSize int     `json:"candidates_size,omitempty"`
 }
 
-// handleSkyline serves GET /v1/skyline?timeout=&budget=&limit= with
-// the paper's Algorithm 3 (FilterRefineSkyCtx). A truncated run still
+// skyline serves GET /v1/skyline?timeout=&budget=&limit= with the
+// paper's Algorithm 3 (FilterRefineSkyCtx). A truncated run still
 // returns 200: the listed set is a sound superset of the true skyline
 // (the filter/refine contract), flagged with truncated=true and the
 // cause.
-func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Server) skyline(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
 	limit, err := s.parseLimit(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	ctx, cancel, err := s.queryContext(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
-	pin := s.acquire(w)
-	if pin == nil {
-		return
-	}
-	defer pin.Release()
-
-	g := pin.Graph()
-	start := time.Now()
-	res := core.FilterRefineSkyCtx(ctx, g, core.Options{})
-	resp := skylineResponse{
-		meta:        meta{Epoch: pin.Epoch(), N: g.N(), M: g.M(), ElapsedNs: time.Since(start).Nanoseconds()},
-		SkylineSize: len(res.Skyline),
-		Skyline:     clip(res.Skyline, limit),
-	}
-	if res.Candidates != nil {
-		resp.CandidatesSize = len(res.Candidates)
+	res := core.FilterRefineSkyCtx(ctx, pin.Graph(), core.Options{})
+	resp := &skylineResponse{
+		SkylineSize:    len(res.Skyline),
+		Skyline:        clip(res.Skyline, limit),
+		CandidatesSize: len(res.Candidates),
 	}
 	if res.Truncated {
-		resp.markTruncated("skyline", res.Err)
+		resp.markTruncated(res.Err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 func clip(v []int32, limit int) []int32 {
@@ -335,55 +379,34 @@ type centralityResponse struct {
 	GainCalls int     `json:"gain_calls"`
 }
 
-// handleCentrality serves GET /v1/centrality/group?k=&measure=. It is
-// the paper's NeiSkyGC/NeiSkyGH under a context: skyline candidates,
-// lazy greedy, pruned BFS. On truncation Group is the prefix of true
-// greedy picks committed so far.
-func (s *Server) handleCentrality(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+// centrality serves GET /v1/centrality/group?k=&measure=. It is the
+// paper's NeiSkyGC/NeiSkyGH under a context: skyline candidates, lazy
+// greedy, pruned BFS. On truncation Group is the prefix of true greedy
+// picks committed so far.
+func (s *Server) centrality(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
 	q := r.URL.Query()
 	k, err := strconv.Atoi(q.Get("k"))
 	if err != nil || k < 1 {
-		writeErr(w, http.StatusBadRequest, "bad k %q (want a positive integer)", q.Get("k"))
-		return
+		return nil, fmt.Errorf("bad k %q (want a positive integer)", q.Get("k"))
 	}
+	name := q.Get("measure")
 	var measure centrality.Measure
-	switch q.Get("measure") {
+	switch name {
 	case "", "closeness":
-		measure = centrality.CLOSENESS
+		name, measure = "closeness", centrality.CLOSENESS
 	case "harmonic":
 		measure = centrality.HARMONIC
 	default:
-		writeErr(w, http.StatusBadRequest, "unknown measure %q (want closeness|harmonic)", q.Get("measure"))
-		return
+		return nil, fmt.Errorf("unknown measure %q (want closeness|harmonic)", name)
 	}
-	ctx, cancel, err := s.queryContext(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
-	pin := s.acquire(w)
-	if pin == nil {
-		return
-	}
-	defer pin.Release()
-
 	g := pin.Graph()
-	if k > g.N() {
-		k = g.N()
-	}
-	start := time.Now()
+	k = min(k, g.N())
 	sky := core.FilterRefineSkyCtx(ctx, g, core.Options{})
 	res := centrality.GreedyCtx(ctx, g, k, measure,
 		centrality.Options{Candidates: sky.Skyline, Lazy: true, PrunedBFS: true})
-	resp := centralityResponse{
-		meta:      meta{Epoch: pin.Epoch(), N: g.N(), M: g.M(), ElapsedNs: time.Since(start).Nanoseconds()},
+	resp := &centralityResponse{
 		K:         k,
-		Measure:   map[centrality.Measure]string{centrality.CLOSENESS: "closeness", centrality.HARMONIC: "harmonic"}[measure],
+		Measure:   name,
 		Group:     clip(res.Group, s.opts.MaxList),
 		Value:     res.Value,
 		GainCalls: res.GainCalls,
@@ -395,9 +418,9 @@ func (s *Server) handleCentrality(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			err = sky.Err
 		}
-		resp.markTruncated("centrality", err)
+		resp.markTruncated(err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 type cliqueResponse struct {
@@ -407,65 +430,35 @@ type cliqueResponse struct {
 	Cliques [][]int32 `json:"cliques,omitempty"`
 }
 
-// handleClique serves GET /v1/clique?k=. k=1 (the default) is the
+// clique serves GET /v1/clique?k=. k=1 (the default) is the
 // skyline-seeded maximum-clique search; k>1 returns the k largest
 // distinct cliques. On truncation every listed clique is genuine — the
 // incumbent(s) of the branch-and-bound — just possibly not maximum.
-func (s *Server) handleClique(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	k := 1
-	if v := r.URL.Query().Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeErr(w, http.StatusBadRequest, "bad k %q (want a positive integer)", v)
-			return
-		}
-		k = n
-	}
-	if k > s.opts.MaxList {
-		k = s.opts.MaxList
-	}
-	ctx, cancel, err := s.queryContext(r)
+func (s *Server) clique(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
+	k, err := parseK(r, 1)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	defer cancel()
-	pin := s.acquire(w)
-	if pin == nil {
-		return
-	}
-	defer pin.Release()
-
-	g := pin.Graph()
-	start := time.Now()
-	resp := cliqueResponse{meta: meta{Epoch: pin.Epoch(), N: g.N(), M: g.M()}}
+	k = min(k, s.opts.MaxList)
+	resp := &cliqueResponse{}
 	if k == 1 {
-		res := clique.NeiSkyMCCtx(ctx, g)
+		res := clique.NeiSkyMCCtx(ctx, pin.Graph())
 		resp.Size = len(res.Clique)
 		resp.Clique = clip(res.Clique, s.opts.MaxList)
 		if res.Truncated {
-			resp.markTruncated("clique", res.Err)
+			resp.markTruncated(res.Err)
 		}
-	} else {
-		res := clique.NeiSkyTopkMCCCtx(ctx, g, k)
-		resp.Cliques = res.Cliques
-		if len(res.Cliques) > 0 {
-			resp.Size = len(res.Cliques[0])
-			resp.Clique = res.Cliques[0]
-		} else {
-			resp.Clique = []int32{}
-			resp.Cliques = [][]int32{}
-		}
-		if res.Truncated {
-			resp.markTruncated("clique", res.Err)
-		}
+		return resp, nil
 	}
-	resp.ElapsedNs = time.Since(start).Nanoseconds()
-	writeJSON(w, http.StatusOK, resp)
+	res := clique.NeiSkyTopkMCCCtx(ctx, pin.Graph(), k)
+	resp.Clique, resp.Cliques = []int32{}, res.Cliques
+	if len(res.Cliques) > 0 {
+		resp.Size, resp.Clique = len(res.Cliques[0]), res.Cliques[0]
+	}
+	if res.Truncated {
+		resp.markTruncated(res.Err)
+	}
+	return resp, nil
 }
 
 type dominatorEntry struct {
@@ -480,41 +473,23 @@ type dominatorsResponse struct {
 	Dominators  []dominatorEntry `json:"dominators"`
 }
 
-// handleDominators serves GET /v1/dominators?v=3,7,12 — the paper's O
-// array restricted to the requested vertices (all vertices, list-capped,
-// when ?v is absent). Each entry names one dominator; in_skyline
-// entries dominate themselves. On truncation in_skyline=true means
-// "not yet proven dominated".
-func (s *Server) handleDominators(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+// dominators serves GET /v1/dominators?v=3,7,12 — the paper's O array
+// restricted to the requested vertices (all vertices, list-capped, when
+// ?v is absent). Each entry names one dominator; in_skyline entries
+// dominate themselves. On truncation in_skyline=true means "not yet
+// proven dominated".
+func (s *Server) dominators(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
 	limit, err := s.parseLimit(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	ctx, cancel, err := s.queryContext(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
-	pin := s.acquire(w)
-	if pin == nil {
-		return
-	}
-	defer pin.Release()
-
 	g := pin.Graph()
 	var verts []int32
 	if raw := strings.TrimSpace(r.URL.Query().Get("v")); raw != "" {
 		for _, tok := range strings.Split(raw, ",") {
 			id, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 32)
 			if err != nil || id < 0 || id >= int64(g.N()) {
-				writeErr(w, http.StatusBadRequest, "bad vertex id %q (graph has %d vertices)", tok, g.N())
-				return
+				return nil, fmt.Errorf("bad vertex id %q (graph has %d vertices)", tok, g.N())
 			}
 			verts = append(verts, int32(id))
 		}
@@ -523,14 +498,9 @@ func (s *Server) handleDominators(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	start := time.Now()
 	res := core.FilterRefineSkyCtx(ctx, g, core.Options{})
 	if verts == nil {
-		top := g.N()
-		if top > limit {
-			top = limit
-		}
-		verts = make([]int32, top)
+		verts = make([]int32, min(g.N(), limit))
 		for i := range verts {
 			verts[i] = int32(i)
 		}
@@ -540,15 +510,11 @@ func (s *Server) handleDominators(w http.ResponseWriter, r *http.Request) {
 		d := res.Dominator[v]
 		entries[i] = dominatorEntry{V: v, Dominator: d, InSkyline: d == v}
 	}
-	resp := dominatorsResponse{
-		meta:        meta{Epoch: pin.Epoch(), N: g.N(), M: g.M(), ElapsedNs: time.Since(start).Nanoseconds()},
-		SkylineSize: len(res.Skyline),
-		Dominators:  entries,
-	}
+	resp := &dominatorsResponse{SkylineSize: len(res.Skyline), Dominators: entries}
 	if res.Truncated {
-		resp.markTruncated("dominators", res.Err)
+		resp.markTruncated(res.Err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // swapRequest is the POST /v1/snapshot/swap body: either a snapshot
@@ -573,17 +539,20 @@ type swapResponse struct {
 	Source      string `json:"source"`
 }
 
-// maxSwapBody bounds the swap request body (1 MiB of ops ≈ 25k ops,
-// well past MaxList).
+// maxSwapBody bounds every request body: a swap's ops (1 MiB of ops ≈
+// 25k ops, well past MaxList) and, through the read skeleton, a
+// subset's vertex list.
 const maxSwapBody = 1 << 20
 
 // handleSwap serves POST /v1/snapshot/swap. The new snapshot is built
 // entirely off to the side — from a file, or by replaying an edge batch
 // through one maintainer seeded from the pinned current graph — and
 // published with one atomic store; in-flight queries keep their pinned
-// epoch until they drain. Batch swaps are serialized so each derives
-// from its predecessor. A cancelled batch publishes the exact applied
-// prefix (the maintainers' per-op atomicity) with truncated=true.
+// epoch until they drain. Every swap publishes under swapMu, so each
+// batch derives from its predecessor and no file swap lands between a
+// batch's pin and its publish. A cancelled batch publishes the exact
+// applied prefix (the maintainers' per-op atomicity) with
+// truncated=true.
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
@@ -621,14 +590,16 @@ func (s *Server) swapFromFile(w http.ResponseWriter, r *http.Request, req swapRe
 		return
 	}
 	g := snap.Graph
-	// A file swap replaces the WAL lineage wholesale: no op sequence
+	// The file loads outside the lock; the publish takes it, or a batch
+	// swap that pinned the older epoch would publish over this graph. A
+	// file swap also replaces the WAL lineage wholesale: no op sequence
 	// connects the old state to the new graph, so the cut-over is made
 	// durable as a checkpoint BEFORE the epoch is published — same
-	// ack-after-durable ordering as batch swaps. The swap lock keeps
-	// appends and other checkpoints out from under the lineage change.
+	// ack-after-durable ordering as batch swaps. The lock keeps appends
+	// and other checkpoints out from under the lineage change.
+	s.swapMu.Lock()
+	defer s.swapMu.Unlock()
 	if s.wal != nil {
-		s.swapMu.Lock()
-		defer s.swapMu.Unlock()
 		if _, err := s.wal.Checkpoint(g); err != nil {
 			if snap.Closer != nil {
 				_ = snap.Closer.Close()
@@ -725,7 +696,8 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 		Source:      snap.Name,
 	}
 	if applyErr != nil {
-		resp.markTruncated("swap", applyErr)
+		resp.markTruncated(applyErr)
+		countTruncated("swap")
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -46,33 +46,46 @@ func newTestServer(t *testing.T, g *graph.Graph, opts Options) (*Server, *httpte
 	return srv, ts
 }
 
-// get fetches path and decodes the JSON body (any status).
-func get(t *testing.T, ts *httptest.Server, path string) (int, map[string]any) {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + path)
+// fetch sends one request and decodes the JSON body (any status). It
+// reports failures as errors, so goroutines other than the test's own
+// can call it.
+func fetch(ts *httptest.Server, method, path, body string) (int, map[string]any, error) {
+	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
+		return 0, nil, err
 	}
-	defer resp.Body.Close()
-	var body map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("GET %s: bad JSON: %v", path, err)
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	return resp.StatusCode, body
-}
-
-func post(t *testing.T, ts *httptest.Server, path, body string) (int, map[string]any) {
-	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+	resp, err := ts.Client().Do(req)
 	if err != nil {
-		t.Fatalf("POST %s: %v", path, err)
+		return 0, nil, fmt.Errorf("%s %s: %v", method, path, err)
 	}
 	defer resp.Body.Close()
 	var out map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("POST %s: bad JSON: %v", path, err)
+		return 0, nil, fmt.Errorf("%s %s: bad JSON: %v", method, path, err)
 	}
-	return resp.StatusCode, out
+	return resp.StatusCode, out, nil
+}
+
+// get fetches path and decodes the JSON body (any status).
+func get(t *testing.T, ts *httptest.Server, path string) (int, map[string]any) {
+	t.Helper()
+	code, body, err := fetch(ts, http.MethodGet, path, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, body
+}
+
+func post(t *testing.T, ts *httptest.Server, path, body string) (int, map[string]any) {
+	t.Helper()
+	code, out, err := fetch(ts, http.MethodPost, path, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, out
 }
 
 func ids(v any) []int32 {
@@ -82,6 +95,31 @@ func ids(v any) []int32 {
 		out[i] = int32(x.(float64))
 	}
 	return out
+}
+
+// readEndpoint is one valid request to a read endpoint.
+type readEndpoint struct{ method, path, body string }
+
+// readEndpoints covers the seven /v1 read endpoints, for the tests that
+// pin the read skeleton on every one of them.
+var readEndpoints = []readEndpoint{
+	{http.MethodGet, "/v1/skyline", ""},
+	{http.MethodGet, "/v1/skyline/layers", ""},
+	{http.MethodPost, "/v1/skyline/subset", `{"v":[0,1,2]}`},
+	{http.MethodGet, "/v1/skyline/explain?v=1", ""},
+	{http.MethodGet, "/v1/centrality/group?k=2", ""},
+	{http.MethodGet, "/v1/clique", ""},
+	{http.MethodGet, "/v1/dominators?v=0,1", ""},
+}
+
+// send sends e's request with the given method.
+func (e readEndpoint) send(t *testing.T, ts *httptest.Server, method string) (int, map[string]any) {
+	t.Helper()
+	code, body, err := fetch(ts, method, e.path, e.body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, body
 }
 
 func TestSkylineEndpointMatchesOracle(t *testing.T) {
@@ -256,6 +294,41 @@ func TestSwapFromFile(t *testing.T) {
 	}
 	if int(body["n"].(float64)) != 10 || int(body["epoch"].(float64)) != 2 {
 		t.Fatalf("file swap response: %v", body)
+	}
+}
+
+// TestFileSwapTakesSwapLock pins that a file swap publishes under
+// swapMu, WAL or not. Without the lock, a file swap that lands between
+// a batch swap's pin and its publish is overwritten by a batch built
+// from the older graph, although its client got a 200.
+func TestFileSwapTakesSwapLock(t *testing.T) {
+	srv, ts := newTestServer(t, testGraph(), Options{})
+	path := filepath.Join(t.TempDir(), "next.nsb2")
+	if err := gen.Clique(10).WriteBinaryFile(path, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.swapMu.Lock()
+	codes := make(chan int, 1)
+	go func() {
+		code, _, _ := fetch(ts, http.MethodPost, "/v1/snapshot/swap", fmt.Sprintf(`{"path":%q}`, path))
+		codes <- code
+	}()
+	// The file loads before the lock is taken; give the request time to
+	// get there, and watch that nothing is published meanwhile.
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); {
+		if e := srv.Store().CurrentEpoch(); e != 1 {
+			srv.swapMu.Unlock()
+			t.Fatalf("file swap published epoch %d while swapMu was held", e)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	srv.swapMu.Unlock()
+	if code := <-codes; code != http.StatusOK {
+		t.Fatalf("file swap status %d after the lock was released", code)
+	}
+	if e := srv.Store().CurrentEpoch(); e != 2 {
+		t.Fatalf("epoch %d after the file swap, want 2", e)
 	}
 }
 
@@ -440,6 +513,15 @@ func TestMethodNotAllowed(t *testing.T) {
 	if code, _ := get(t, ts, "/v1/snapshot/swap"); code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/snapshot/swap: status %d, want 405", code)
 	}
+	for _, e := range readEndpoints {
+		wrong := http.MethodPost
+		if e.method == http.MethodPost {
+			wrong = http.MethodGet
+		}
+		if code, _ := e.send(t, ts, wrong); code != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 405", wrong, e.path, code)
+		}
+	}
 }
 
 // TestDeadlineExceededReturnsPartial: a query whose deadline has
@@ -545,6 +627,11 @@ func TestQueriesAfterCloseReturn503(t *testing.T) {
 	code, _ := get(t, ts, "/v1/skyline")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("query after Close: status %d, want 503", code)
+	}
+	for _, e := range readEndpoints {
+		if code, _ := e.send(t, ts, e.method); code != http.StatusServiceUnavailable {
+			t.Errorf("%s %s after Close: status %d, want 503", e.method, e.path, code)
+		}
 	}
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
@@ -662,49 +749,83 @@ func TestResponseShapeGolden(t *testing.T) {
 
 // TestConcurrentQueriesDuringSwaps is the HTTP-level cousin of the
 // epoch race battery: real handlers, real swaps, every response must be
-// coherent (epoch set, n constant under edge-only swaps).
+// coherent (epoch set, n constant under edge-only swaps). The second
+// pass runs behind a two-request admission gate, where every read and
+// swap must answer 200 or 429.
 func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 	g := testGraph()
-	_, ts := newTestServer(t, g, Options{})
-	done := make(chan error, 8)
-	for w := 0; w < 6; w++ {
-		go func(w int) {
-			for i := 0; i < 40; i++ {
-				path := []string{"/v1/skyline?limit=8", "/v1/dominators?v=1,2", "/v1/clique"}[i%3]
-				code, body := get(t, ts, path)
-				if code != http.StatusOK {
-					done <- fmt.Errorf("%s: status %d", path, code)
-					return
+	paths := []string{"/v1/skyline?limit=8", "/v1/dominators?v=1,2", "/v1/clique",
+		"/v1/centrality/group?k=2&measure=harmonic", "/v1/clique?k=2"}
+	for _, opts := range []Options{{}, {MaxInFlight: 2}} {
+		_, ts := newTestServer(t, g, opts)
+		// Behind the admission gate a 429 is an allowed answer.
+		allowed := func(code int) bool {
+			return code == http.StatusOK || opts.MaxInFlight > 0 && code == http.StatusTooManyRequests
+		}
+		coherent := func(body map[string]any) bool {
+			return int(body["n"].(float64)) == g.N() && int(body["epoch"].(float64)) >= 1
+		}
+		var answered atomic.Int64
+		done := make(chan error, 8)
+		for w := 0; w < 6; w++ {
+			go func(w int) {
+				for i := 0; i < 40; i++ {
+					path := paths[i%len(paths)]
+					code, body, err := fetch(ts, http.MethodGet, path, "")
+					if err != nil {
+						done <- err
+						return
+					}
+					if !allowed(code) {
+						done <- fmt.Errorf("%+v %s: status %d", opts, path, code)
+						return
+					}
+					if code != http.StatusOK {
+						continue
+					}
+					answered.Add(1)
+					if !coherent(body) {
+						done <- fmt.Errorf("%+v %s: torn response %v", opts, path, body)
+						return
+					}
 				}
-				if int(body["n"].(float64)) != g.N() || int(body["epoch"].(float64)) < 1 {
-					done <- fmt.Errorf("%s: torn response %v", path, body)
-					return
+				done <- nil
+			}(w)
+		}
+		for s := 0; s < 2; s++ {
+			go func(s int) {
+				for i := 0; i < 10; i++ {
+					u := int32((s*10 + i) % g.N())
+					v := int32((s*10 + i + 1) % g.N())
+					if u == v {
+						continue
+					}
+					body := fmt.Sprintf(`{"ops":[{"add":true,"u":%d,"v":%d}]}`, u, v)
+					code, resp, err := fetch(ts, http.MethodPost, "/v1/snapshot/swap", body)
+					if err != nil {
+						done <- err
+						return
+					}
+					if !allowed(code) {
+						done <- fmt.Errorf("%+v swap: status %d: %v", opts, code, resp)
+						return
+					}
+					if code == http.StatusOK && !coherent(resp) {
+						done <- fmt.Errorf("%+v swap: torn response %v", opts, resp)
+						return
+					}
+					time.Sleep(time.Millisecond)
 				}
+				done <- nil
+			}(s)
+		}
+		for i := 0; i < 8; i++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
 			}
-			done <- nil
-		}(w)
-	}
-	for s := 0; s < 2; s++ {
-		go func(s int) {
-			for i := 0; i < 10; i++ {
-				u := int32((s*10 + i) % g.N())
-				v := int32((s*10 + i + 1) % g.N())
-				if u == v {
-					continue
-				}
-				body := fmt.Sprintf(`{"ops":[{"add":true,"u":%d,"v":%d}]}`, u, v)
-				if code, resp := post(t, ts, "/v1/snapshot/swap", body); code != http.StatusOK {
-					done <- fmt.Errorf("swap: status %d: %v", code, resp)
-					return
-				}
-				time.Sleep(time.Millisecond)
-			}
-			done <- nil
-		}(s)
-	}
-	for i := 0; i < 8; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+		}
+		if answered.Load() == 0 {
+			t.Fatalf("%+v: no read answered 200", opts)
 		}
 	}
 }

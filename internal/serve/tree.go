@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"neisky/internal/skytree"
 )
@@ -12,8 +14,8 @@ import (
 // The layered-index query surface: three endpoints answered from the
 // snapshot's skytree (built lazily on first use, carried over
 // incrementally across batch swaps — see Snapshot.Tree and
-// swapFromOps). All three run under the standard per-query context and
-// return the standard anytime markers.
+// swapFromOps). All three run in the read skeleton and return the
+// standard anytime markers.
 
 type layersResponse struct {
 	meta
@@ -23,46 +25,22 @@ type layersResponse struct {
 	Layers     [][]int32 `json:"layers"`
 }
 
-// handleLayers serves GET /v1/skyline/layers?k=&limit=. Layer 0 is the
+// layers serves GET /v1/skyline/layers?k=&limit=. Layer 0 is the
 // neighborhood skyline, layer k the skyline of the remainder after
 // peeling layers < k. ?k bounds how many layers are materialized in the
 // response (all of them when absent); layer_sizes always covers every
 // layer. ?limit clips each returned layer's member list. A truncated
 // response (the index build ran out of budget) lists the layers
 // completed so far; the build is retried by the next query.
-func (s *Server) handleLayers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	k := -1
-	if v := r.URL.Query().Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeErr(w, http.StatusBadRequest, "bad k %q (want a positive integer)", v)
-			return
-		}
-		k = n
+func (s *Server) layers(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
+	k, err := parseK(r, -1)
+	if err != nil {
+		return nil, err
 	}
 	limit, err := s.parseLimit(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	ctx, cancel, err := s.queryContext(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
-	pin := s.acquire(w)
-	if pin == nil {
-		return
-	}
-	defer pin.Release()
-
-	g := pin.Graph()
-	start := time.Now()
 	t := pin.Snapshot().Tree(ctx)
 	if k < 0 || k > t.NumLayers() {
 		k = t.NumLayers()
@@ -71,17 +49,16 @@ func (s *Server) handleLayers(w http.ResponseWriter, r *http.Request) {
 	for i, l := range t.TopK(k) {
 		layers[i] = clip(l, limit)
 	}
-	resp := layersResponse{
-		meta:       meta{Epoch: pin.Epoch(), N: g.N(), M: g.M(), ElapsedNs: time.Since(start).Nanoseconds()},
+	resp := &layersResponse{
 		NumLayers:  t.NumLayers(),
 		K:          k,
 		LayerSizes: t.LayerSizes(),
 		Layers:     layers,
 	}
 	if t.Truncated {
-		resp.markTruncated("layers", t.Err)
+		resp.markTruncated(t.Err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // subsetRequest is the POST /v1/skyline/subset body.
@@ -101,50 +78,30 @@ type subsetResponse struct {
 	WitnessHits   int `json:"witness_hits"`
 }
 
-// handleSubset serves POST /v1/skyline/subset: the neighborhood skyline
-// of the subgraph induced by the posted vertex set, under the
-// KeepIsolated convention. It answers against the full CSR with the
-// layered index steering the probe order — no induced graph is
-// materialized. On truncation the listed set is a sound superset.
-func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+// subset serves POST /v1/skyline/subset: the neighborhood skyline of
+// the subgraph induced by the posted vertex set, under the KeepIsolated
+// convention. It answers against the full CSR with the layered index
+// steering the probe order — no induced graph is materialized. On
+// truncation the listed set is a sound superset.
+func (s *Server) subset(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
 	var req subsetRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSwapBody))
+	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad subset request: %v", err)
-		return
+		return nil, fmt.Errorf("bad subset request: %v", err)
 	}
 	if len(req.V) == 0 {
-		writeErr(w, http.StatusBadRequest, "subset request needs a non-empty v list")
-		return
+		return nil, errors.New("subset request needs a non-empty v list")
 	}
 	if len(req.V) > s.opts.MaxList {
-		writeErr(w, http.StatusBadRequest, "subset of %d exceeds the %d cap", len(req.V), s.opts.MaxList)
-		return
+		return nil, fmt.Errorf("subset of %d exceeds the %d cap", len(req.V), s.opts.MaxList)
 	}
-	ctx, cancel, err := s.queryContext(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
-	pin := s.acquire(w)
-	if pin == nil {
-		return
-	}
-	defer pin.Release()
-
 	g := pin.Graph()
 	seen := make(map[int32]bool, len(req.V))
 	sub := make([]int32, 0, len(req.V))
 	for i, v := range req.V {
 		if v < 0 || int(v) >= g.N() {
-			writeErr(w, http.StatusBadRequest, "bad vertex %d at index %d (graph has %d vertices)", v, i, g.N())
-			return
+			return nil, fmt.Errorf("bad vertex %d at index %d (graph has %d vertices)", v, i, g.N())
 		}
 		if !seen[v] {
 			seen[v] = true
@@ -152,13 +109,11 @@ func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	start := time.Now()
 	// A truncated index build still yields sound (partial) hints; the
 	// scan itself stays exact and carries the anytime contract.
 	t := pin.Snapshot().Tree(ctx)
 	res := skytree.SubsetSkylineCtx(ctx, g, t, sub)
-	resp := subsetResponse{
-		meta:          meta{Epoch: pin.Epoch(), N: g.N(), M: g.M(), ElapsedNs: time.Since(start).Nanoseconds()},
+	resp := &subsetResponse{
 		SubsetSize:    len(sub),
 		SkylineSize:   len(res.Skyline),
 		Skyline:       clip(res.Skyline, s.opts.MaxList),
@@ -166,9 +121,9 @@ func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 		WitnessHits:   res.WitnessHits,
 	}
 	if res.Truncated {
-		resp.markTruncated("subset", res.Err)
+		resp.markTruncated(res.Err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 type explainStep struct {
@@ -183,56 +138,31 @@ type explainResponse struct {
 	Chain []explainStep `json:"chain"`
 }
 
-// handleExplain serves GET /v1/skyline/explain?v=: the dominator chain
-// from v to the skyline. Entry i+1 is the canonical parent witness of
-// entry i — the minimum-ID vertex one layer up that dominates it at
-// that level — so the chain ascends exactly one layer per hop and ends
-// at a layer-0 vertex. On a truncated index build the chain stops at
-// the deepest assigned ancestor.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+// explain serves GET /v1/skyline/explain?v=: the dominator chain from v
+// to the skyline. Entry i+1 is the canonical parent witness of entry i
+// — the minimum-ID vertex one layer up that dominates it at that level
+// — so the chain ascends exactly one layer per hop and ends at a
+// layer-0 vertex. On a truncated index build the chain stops at the
+// deepest assigned ancestor.
+func (s *Server) explain(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
 	raw := r.URL.Query().Get("v")
 	id, err := strconv.ParseInt(raw, 10, 32)
 	if err != nil || id < 0 {
-		writeErr(w, http.StatusBadRequest, "bad vertex id %q", raw)
-		return
+		return nil, fmt.Errorf("bad vertex id %q", raw)
 	}
-	ctx, cancel, err := s.queryContext(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer cancel()
-	pin := s.acquire(w)
-	if pin == nil {
-		return
-	}
-	defer pin.Release()
-
-	g := pin.Graph()
-	if id >= int64(g.N()) {
-		writeErr(w, http.StatusBadRequest, "bad vertex id %q (graph has %d vertices)", raw, g.N())
-		return
+	if n := pin.Graph().N(); id >= int64(n) {
+		return nil, fmt.Errorf("bad vertex id %q (graph has %d vertices)", raw, n)
 	}
 	v := int32(id)
-	start := time.Now()
 	t := pin.Snapshot().Tree(ctx)
 	chain := t.Explain(v)
 	steps := make([]explainStep, len(chain))
 	for i, u := range chain {
 		steps[i] = explainStep{V: u, Layer: t.Layer(u)}
 	}
-	resp := explainResponse{
-		meta:  meta{Epoch: pin.Epoch(), N: g.N(), M: g.M(), ElapsedNs: time.Since(start).Nanoseconds()},
-		V:     v,
-		Layer: t.Layer(v),
-		Chain: steps,
-	}
+	resp := &explainResponse{V: v, Layer: t.Layer(v), Chain: steps}
 	if t.Truncated {
-		resp.markTruncated("explain", t.Err)
+		resp.markTruncated(t.Err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }

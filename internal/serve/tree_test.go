@@ -126,6 +126,11 @@ func TestSubsetEndpointValidation(t *testing.T) {
 	if code, _ := get(t, ts, "/v1/skyline/subset"); code != http.StatusMethodNotAllowed {
 		t.Fatal("GET subset not rejected")
 	}
+	// Valid JSON for two ids, padded past the body cap.
+	big := `{"v":[0,1` + strings.Repeat(" ", maxSwapBody) + `]}`
+	if code, body := post(t, ts, "/v1/skyline/subset", big); code != http.StatusBadRequest {
+		t.Fatalf("subset body over the %d-byte cap: status %d, want 400: %v", maxSwapBody, code, body)
+	}
 }
 
 func TestExplainEndpointChains(t *testing.T) {

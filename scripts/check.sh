@@ -57,9 +57,8 @@ trap cleanup EXIT
 go run ./cmd/nsgen -model chunglu -n 5000 -m 20000 -shuffle -relabel -o "$scaledir/smoke.nsb2"
 go run ./cmd/nsky -input "$scaledir/smoke.nsb2" -mmap
 
-echo "== serving smoke (nsserve daemon + mixed nsload traffic + mid-stream swaps + SIGINT) =="
+echo "== serving smoke (nsserve boot + group-centrality and top-k clique reads + SIGINT) =="
 go build -o "$scaledir/nsserve" ./cmd/nsserve
-go build -o "$scaledir/nsload" ./cmd/nsload
 "$scaledir/nsserve" -input "$scaledir/smoke.nsb2" -mmap \
 	-addr 127.0.0.1:0 -addr-file "$scaledir/addr" &
 serve_pid=$!
@@ -73,10 +72,34 @@ while [ ! -s "$scaledir/addr" ]; do
 	kill -0 "$serve_pid" 2>/dev/null || { echo "FAIL: nsserve exited early" >&2; exit 1; }
 	sleep 0.1
 done
-"$scaledir/nsload" -addr "http://$(cat "$scaledir/addr")" -n 400 -workers 8 -swaps 2 -seed 1
+# The servebench runs below read neither endpoint.
+for path in "/v1/centrality/group?k=2&measure=harmonic" "/v1/clique?k=2"; do
+	curl -sf "http://$(cat "$scaledir/addr")$path" >/dev/null \
+		|| { echo "FAIL: GET $path did not answer 200" >&2; exit 1; }
+done
 kill -INT "$serve_pid"
 wait "$serve_pid" || { echo "FAIL: nsserve did not shut down cleanly on SIGINT" >&2; exit 1; }
 serve_pid=""
+
+# servebench drives the nsserve built above on its 100k-vertex snapshot
+# and checks every answer against the graph of the epoch it names.
+# skyline-reads covers skyline, dominators and clique reads and swaps
+# without the layered index; durable-writes covers layers, explain and
+# subset reads, swaps that carry the index, and checkpoints. Both end
+# with kill -9 restarts from the WAL. durable-writes swaps every 2 s, so
+# it needs 4 s for two swaps.
+echo "== serving benchmark smoke (servebench skyline-reads 1 s, durable-writes 4 s) =="
+(cd servebench && go build -o "$scaledir/servebench" .)
+servebench_smoke() {
+	out="$("$scaledir/servebench" -nsserve "$scaledir/nsserve" -work "$scaledir/servebench-work" \
+		-workload "$1" -seed 1 -seconds "$2")" \
+		|| { echo "FAIL: servebench $1 failed: $out" >&2; exit 1; }
+	echo "$out" | tail -n 1
+	echo "$out" | grep -q '"correct":true' \
+		|| { echo "FAIL: servebench $1 did not report correct answers" >&2; exit 1; }
+}
+servebench_smoke skyline-reads 1
+servebench_smoke durable-writes 4
 
 echo "== crash-recovery smoke (nsserve -wal, kill -9 mid-stream, restart, recovered state) =="
 waldir="$scaledir/wal"
