@@ -86,15 +86,8 @@ func main() {
 	var walLog *wal.Log
 	if *walDir != "" {
 		var pol wal.SyncPolicy
-		switch *walSync {
-		case "always":
-			pol = wal.SyncAlways
-		case "interval":
-			pol = wal.SyncInterval
-		case "none":
-			pol = wal.SyncNone
-		default:
-			fmt.Fprintf(os.Stderr, "nsserve: bad -wal-sync %q (want always|interval|none)\n", *walSync)
+		if pol, err = wal.ParsePolicy(*walSync); err != nil {
+			fmt.Fprintln(os.Stderr, "nsserve: -wal-sync:", err)
 			os.Exit(1)
 		}
 		var st *serve.RecoveryStats

@@ -17,9 +17,11 @@
 // representation of mutable graph state: the Maintainer here is Rows
 // plus level-0 status, internal/skytree's maintainer is Rows plus
 // layers, WAL recovery uses Rows alone, and all three apply batches
-// through ApplyRun. Seeding a Maintainer costs one sharded skyline run
-// over the CSR, a batch costs O(degree) per patched row plus the 2-hop
-// recomputes, and neither allocates per vertex.
+// through ApplyRun. New seeds a Maintainer with one sharded skyline run
+// over the CSR; Seeded continues from a predecessor's Status instead,
+// which costs a copy of n bools, not a skyline run. A batch costs
+// O(degree) per patched row plus the 2-hop recomputes, and neither
+// seeding nor a batch allocates per vertex.
 //
 // Per-update cost is O(Σ_{x∈affected} deg(pivot(x))·deg(x)) — output
 // sensitive in the size of the 2-hop neighborhoods around the touched
@@ -29,6 +31,7 @@ package dynsky
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"neisky/internal/core"
 	"neisky/internal/graph"
@@ -53,26 +56,38 @@ type Maintainer struct {
 }
 
 // New builds a Maintainer seeded from g. The initial domination status
-// of every vertex comes from one sharded skyline run over g.
+// of every vertex comes from one sharded skyline run over g; a caller
+// that holds g's exact status already seeds with Seeded instead.
 func New(g *graph.Graph) *Maintainer {
-	n := g.N()
-	m := &Maintainer{
-		rows:      NewRows(g),
-		dominated: make([]bool, n),
-		mark:      make([]bool, n),
-	}
 	res := core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{})
 	if res.Truncated {
 		// No context reaches the run, so only a worker panic stops it.
 		panic(fmt.Sprintf("dynsky: seeding skyline run stopped early: %v", res.Err))
 	}
-	for u := range m.dominated {
-		m.dominated[u] = true
+	dominated := make([]bool, g.N())
+	for u := range dominated {
+		dominated[u] = true
 	}
 	for _, u := range res.Skyline {
-		m.dominated[u] = false
+		dominated[u] = false
 	}
-	m.skySize = len(res.Skyline)
+	return Seeded(g, dominated)
+}
+
+// Seeded builds a Maintainer over g from g's exact domination status
+// (dominated[v] reports v ∉ R, as Status returns it), which it copies:
+// O(n), with no skyline run. A wrong status is not detected, and every
+// later answer inherits it.
+func Seeded(g *graph.Graph, dominated []bool) *Maintainer {
+	if len(dominated) != g.N() {
+		panic(fmt.Sprintf("dynsky: status of %d vertices for a graph of %d", len(dominated), g.N()))
+	}
+	m := &Maintainer{rows: NewRows(g), dominated: slices.Clone(dominated), mark: make([]bool, g.N())}
+	for _, d := range dominated {
+		if !d {
+			m.skySize++
+		}
+	}
 	return m
 }
 
@@ -103,6 +118,12 @@ func (m *Maintainer) InSkyline(v int32) bool { return !m.dominated[v] }
 
 // SkylineSize returns |R| without materializing the set.
 func (m *Maintainer) SkylineSize() int { return m.skySize }
+
+// Status returns the current domination status by vertex ID (true: not
+// in the skyline), the input Seeded takes for the graph Graph returns.
+// The slice is the maintainer's own: later updates change it in place,
+// and callers must not modify it.
+func (m *Maintainer) Status() []bool { return m.dominated }
 
 // Skyline materializes the current skyline in increasing ID order.
 func (m *Maintainer) Skyline() []int32 {

@@ -11,10 +11,12 @@ import (
 // stream on at most 32 vertices: data[0] picks n, data[1] the number of
 // seed edges (two bytes each), and every following triple (k, u, v) is
 // an insert (k%3 == 0), a delete (k%3 == 1) or a Graph() snapshot
-// (k%3 == 2). After every op the maintainer must agree with a
-// test-local edge set and its skyline with the brute-force oracle;
-// every snapshot must be a valid CSR of exactly that edge set and never
-// the graph the maintainer was seeded or last rebased on.
+// (k%3 == 2). Each snapshot is followed by the serving daemon's carry:
+// the stream continues on a maintainer Seeded from that snapshot and
+// the old maintainer's Status. After every op the maintainer must agree
+// with a test-local edge set and its skyline with the brute-force
+// oracle; every snapshot must be a valid CSR of exactly that edge set
+// and never the graph the maintainer was seeded or last rebased on.
 func FuzzMaintainerOps(f *testing.F) {
 	f.Add([]byte{5, 2, 0, 1, 1, 2, 0, 0, 2, 2, 0, 0, 1, 0, 1, 2, 0, 0})
 	f.Add([]byte{8, 0, 0, 0, 1, 0, 1, 2, 2, 0, 0, 1, 0, 1, 1, 2, 0, 0, 0, 3, 4, 2, 0, 0})
@@ -68,6 +70,7 @@ func FuzzMaintainerOps(f *testing.F) {
 				}
 				checkCSR(t, g, edges)
 				prev = g
+				m = Seeded(g, m.Status())
 			}
 			if m.M() != len(edges) {
 				t.Fatalf("M() = %d, edge set has %d", m.M(), len(edges))

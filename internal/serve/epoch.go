@@ -51,6 +51,12 @@ type Snapshot struct {
 	// should share one build, not race duplicate ones.
 	treeMu sync.Mutex
 	tree   *skytree.Tree
+
+	// status is Graph's exact domination status (dynsky's Status), set
+	// by a batch swap without an index before it publishes and never
+	// written after; only the next batch swap reads it, under swapMu,
+	// to seed its maintainer without a skyline run. Nil after a load.
+	status []bool
 }
 
 // Tree returns the snapshot's layered dominance index, building it on

@@ -654,8 +654,11 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 	// incrementally (skytree re-peels only each op's local region)
 	// instead of leaving the new epoch to a lazy from-scratch rebuild;
 	// the carried layer 0 gives the skyline size, so no skyline engine
-	// runs. Without an index, dynsky's seeded status gives it. A
-	// cancelled batch publishes the exact applied prefix either way.
+	// runs. Without an index, dynsky's maintained status gives it, and
+	// the new snapshot keeps that status for the next swap: only a
+	// lineage's first batch swap after a load (startup, file swap or WAL
+	// recovery) seeds it with an engine run. A cancelled batch publishes
+	// the exact applied prefix either way.
 	var processed, applied int
 	var applyErr error
 	var snap *Snapshot
@@ -668,9 +671,14 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 		snap.SetTree(t)
 		skySize = t.SkylineSize(snap.Graph)
 	} else {
-		m := dynsky.New(g)
+		var m *dynsky.Maintainer
+		if prev := pin.Snapshot().status; prev != nil {
+			m = dynsky.Seeded(g, prev)
+		} else {
+			m = dynsky.New(g)
+		}
 		processed, applied, applyErr = m.ApplyPrefixCtx(ctx, batch)
-		snap = &Snapshot{Graph: m.Graph(), Name: fmt.Sprintf("batch:%d", applied)}
+		snap = &Snapshot{Graph: m.Graph(), Name: fmt.Sprintf("batch:%d", applied), status: m.Status()}
 		skySize = m.SkylineSize()
 	}
 	// Ack-after-durable: the processed prefix — exactly what the new

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -80,10 +81,12 @@ func (m *edgeModel) skylineSize() int {
 
 // TestSwapSkylineSizeMatchesOracle checks the value of every batch
 // swap's skyline_size against brute force on a mirrored edge set, on
-// both swap branches: without an index (dynsky's maintained status) and
-// after a /v1/skyline/layers prewarm (derived from the carried layer
-// 0). The series includes a batch that isolates a vertex, one that
-// removes every edge (skyline {0}), and the first inserts after it.
+// both swap branches: without an index (dynsky's maintained status,
+// each swap after the first seeded from the status its predecessor
+// published) and after a /v1/skyline/layers prewarm (derived from the
+// carried layer 0). The series includes a batch that isolates a vertex,
+// one that removes every edge (skyline {0}), and the first inserts
+// after it.
 func TestSwapSkylineSizeMatchesOracle(t *testing.T) {
 	for _, carried := range []bool{false, true} {
 		t.Run(fmt.Sprintf("carried=%v", carried), func(t *testing.T) {
@@ -147,10 +150,6 @@ func TestCarriedSwapAndRecoveryRunNoSkylineEngine(t *testing.T) {
 	defer testleak.Check(t)()
 	rec := obs.New()
 	defer obs.Swap(obs.Swap(rec))
-	engineRuns := func() int64 {
-		s := rec.Snapshot()
-		return s.Timers["core.filter"].Count + s.Timers["core.refine"].Count + s.Timers["core.shard"].Count
-	}
 	swap := func(ts *httptest.Server, body string) {
 		t.Helper()
 		if code, resp := post(t, ts, "/v1/snapshot/swap", body); code != http.StatusOK {
@@ -160,24 +159,24 @@ func TestCarriedSwapAndRecoveryRunNoSkylineEngine(t *testing.T) {
 
 	dir := t.TempDir()
 	srv, ts, _ := newDurableServer(t, dir, testGraph(), Options{})
-	before := engineRuns()
+	before := engineSpans(rec)
 	swap(ts, `{"ops":[{"add":true,"u":0,"v":2}]}`)
-	if engineRuns() == before {
+	if engineSpans(rec) == before {
 		t.Fatal("no-index swap recorded no skyline engine span")
 	}
 
 	if code, body := get(t, ts, "/v1/skyline/layers"); code != http.StatusOK {
 		t.Fatalf("prewarm: status %d: %v", code, body)
 	}
-	before = engineRuns()
+	before = engineSpans(rec)
 	swap(ts, `{"ops":[{"add":true,"u":1,"v":3},{"add":false,"u":0,"v":2}]}`)
 	swap(ts, `{"ops":[{"add":true,"u":4,"v":7}]}`)
-	if got := engineRuns() - before; got != 0 {
+	if got := engineSpans(rec) - before; got != 0 {
 		t.Fatalf("carried-index swaps recorded %d skyline engine spans, want 0", got)
 	}
 	shutdown(ts, srv)
 
-	before = engineRuns()
+	before = engineSpans(rec)
 	_, l, st, err := OpenDurable(dir, nil, wal.Options{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
@@ -186,7 +185,62 @@ func TestCarriedSwapAndRecoveryRunNoSkylineEngine(t *testing.T) {
 	if !st.Recovered || st.ReplayedOps == 0 {
 		t.Fatalf("recovery stats %+v, want a non-empty replayed tail", st)
 	}
-	if got := engineRuns() - before; got != 0 {
+	if got := engineSpans(rec) - before; got != 0 {
 		t.Fatalf("recovery recorded %d skyline engine spans, want 0", got)
 	}
+}
+
+// engineSpans counts the skyline engines' obs spans rec has recorded.
+func engineSpans(rec *obs.Recorder) int64 {
+	s := rec.Snapshot()
+	return s.Timers["core.filter"].Count + s.Timers["core.refine"].Count + s.Timers["core.shard"].Count
+}
+
+// TestNoIndexSwapsSeedOncePerLineage pins which batch swaps without an
+// index run a skyline engine. A lineage starts at a load: startup, a
+// file swap or OpenDurable recovery. Its first batch swap seeds dynsky
+// with one engine run; each later one continues from the status the
+// swap before it published, so it runs none.
+func TestNoIndexSwapsSeedOncePerLineage(t *testing.T) {
+	t.Cleanup(testleak.Check(t)) // runs after the servers' cleanups
+	rec := obs.New()
+	defer obs.Swap(obs.Swap(rec))
+	lineage := func(label string, ts *httptest.Server) {
+		t.Helper()
+		for i, body := range []string{
+			`{"ops":[{"add":true,"u":0,"v":2}]}`,
+			`{"ops":[{"add":true,"u":1,"v":3},{"add":false,"u":0,"v":2}]}`,
+			`{"ops":[{"add":true,"u":4,"v":7}]}`,
+		} {
+			before := engineSpans(rec)
+			if code, resp := post(t, ts, "/v1/snapshot/swap", body); code != http.StatusOK {
+				t.Fatalf("%s, batch swap %d: status %d: %v", label, i+1, code, resp)
+			}
+			if ran, want := engineSpans(rec) > before, i == 0; ran != want {
+				t.Fatalf("%s, batch swap %d: ran a skyline engine: %v, want %v", label, i+1, ran, want)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	srv, ts, _ := newDurableServer(t, dir, testGraph(), Options{})
+	lineage("after startup", ts)
+
+	// A graph of another size: a status carried across the load would
+	// not even fit it.
+	path := filepath.Join(t.TempDir(), "next.nsb2")
+	if err := gen.PowerLaw(80, 200, 2.5, 9).WriteBinaryFile(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	if code, resp := post(t, ts, "/v1/snapshot/swap", fmt.Sprintf(`{"path":%q}`, path)); code != http.StatusOK {
+		t.Fatalf("file swap: status %d: %v", code, resp)
+	}
+	lineage("after a file swap", ts)
+	shutdown(ts, srv)
+
+	_, ts, st := newDurableServer(t, dir, nil, Options{})
+	if !st.Recovered {
+		t.Fatalf("recovery stats %+v, want a recovery", st)
+	}
+	lineage("after recovery", ts)
 }

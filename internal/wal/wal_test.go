@@ -328,6 +328,21 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
+// TestParsePolicy pins nsserve's -wal-sync spellings: every policy
+// round-trips through String, and an unknown name is an error.
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []SyncPolicy{SyncAlways, SyncInterval, SyncNone} {
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, s := range []string{"", "Always", "fsync", "SyncPolicy(3)"} {
+		if _, err := ParsePolicy(s); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted an unknown policy", s)
+		}
+	}
+}
+
 func TestCorruptMidLogFails(t *testing.T) {
 	const n = 40
 	base := graph.NewBuilder(n).Build()

@@ -173,6 +173,21 @@ recover_stats "$scaledir/recover2"
 cmp -s "$scaledir/recover1" "$scaledir/recover2" \
 	|| { echo "FAIL: repeated recovery diverged: '$(cat "$scaledir/recover1")' vs '$(cat "$scaledir/recover2")'" >&2; exit 1; }
 echo "crash recovery: acked prefix ($seq1 batches) and skyline stable across restarts"
+# Recovery starts a lineage: the first batch swap after it seeds its
+# status with a skyline engine run, the second continues from the
+# status the first published. The second swap's skyline_size and epoch
+# must equal those of a skyline read, which reruns the engine.
+base="http://$(cat "$scaledir/addr")"
+size_epoch() { tr -d ' \n' | grep -o '"epoch":[0-9]*\|"skyline_size":[0-9]*' | sort | tr '\n' ';'; }
+for ops in '{"add":true,"u":4000,"v":4500}' '{"add":true,"u":4001,"v":4501},{"add":false,"u":4000,"v":4500}'; do
+	swapped="$(curl -sf -X POST "$base/v1/snapshot/swap" -d "{\"ops\":[$ops]}" | size_epoch)"
+	echo "$swapped" | grep -q skyline_size \
+		|| { echo "FAIL: batch swap after recovery answered '$swapped'" >&2; exit 1; }
+done
+read_back="$(curl -sf "$base/v1/skyline?limit=1" | size_epoch)"
+[ "$swapped" = "$read_back" ] \
+	|| { echo "FAIL: carried swap reported '$swapped', a skyline read '$read_back'" >&2; exit 1; }
+echo "carried status: second swap after recovery agrees with a skyline read ($read_back)"
 kill -INT "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
