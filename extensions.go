@@ -43,8 +43,9 @@ func EpsDominates(g *Graph, u, v int32, eps float64) bool {
 	return core.EpsDominates(g, u, v, eps)
 }
 
-// SkylineMaintainer maintains a skyline under edge insertions and
-// deletions with 2-hop-local updates.
+// SkylineMaintainer maintains a skyline and its canonical O array under
+// edge insertions and deletions, re-deciding per op only the pairs the
+// op can break.
 type SkylineMaintainer = dynsky.Maintainer
 
 // NewSkylineMaintainer seeds a maintainer from a static graph.

@@ -1,20 +1,23 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
 	"neisky/internal/centrality"
 	"neisky/internal/core"
+	"neisky/internal/dynsky"
 	"neisky/internal/gen"
 	"neisky/internal/rng"
 	"neisky/internal/skytree"
 )
 
 // The gatebench workload: a small-n, deterministic row per engine
-// family (serial skyline = the reference, sharded skyline, parallel
-// skyline, layered index build + subset query, group centrality).
+// family (serial skyline = the reference, sharded skyline, layered
+// index build + subset query, the status carry of a batch swap without
+// an index, group centrality).
 // Small enough for a CI job (seconds), large enough that each row's
 // cost is dominated by its engine's hot loop rather than setup noise.
 // scripts/bench_compare.go diffs these rows — ratio-normalized against
@@ -61,6 +64,25 @@ func RunGateJSON(w io.Writer, cfg GateConfig) error {
 			sub = append(sub, v)
 		}
 	}
+	// The status carry of batch swaps without an index, as the daemon
+	// runs a lineage of them: 16 swaps, each Seeded from the O array the
+	// one before it published, then ApplyPrefixCtx and Graph. Each swap
+	// inserts four random non-edges and deletes them again, so every
+	// swap and every round starts from g's edge set. One carry alone
+	// takes ~0.3 ms, and its best-of-5 ratio spread 2x between gate
+	// runs; sixteen in a row spread about 20%.
+	dom := dynsky.New(g).Dominators()
+	var carry []dynsky.Op
+	for len(carry) < 4 {
+		u, v := int32(r.Intn(g.N())), int32(r.Intn(g.N()))
+		if u != v && !g.Has(u, v) {
+			carry = append(carry, dynsky.Op{Add: true, U: u, V: v})
+		}
+	}
+	for _, op := range carry[:4] {
+		carry = append(carry, dynsky.Op{U: op.U, V: op.V})
+	}
+	ctx := context.Background()
 
 	type contender struct {
 		name    string
@@ -80,6 +102,14 @@ func RunGateJSON(w io.Writer, cfg GateConfig) error {
 		}},
 		{"SubsetSkyline-tree", "powerlaw-20k", g.N(), g.M(), func() {
 			skytree.SubsetSkyline(g, tree, sub)
+		}},
+		{"StatusCarry-8ops", "powerlaw-20k", g.N(), g.M(), func() {
+			cur, d := g, dom
+			for i := 0; i < 16; i++ {
+				m := dynsky.Seeded(cur, d)
+				_, _, _ = m.ApplyPrefixCtx(ctx, carry)
+				cur, d = m.Graph(), m.Dominators()
+			}
 		}},
 		{"GreedyCloseness-k4", "powerlaw-3k", cg.N(), cg.M(), func() {
 			sky := core.FilterRefineSky(cg, core.Options{})

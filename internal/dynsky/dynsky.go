@@ -2,30 +2,42 @@
 // and deletions — the dynamic-graph extension of the paper's static
 // problem.
 //
-// The locality that powers FilterRefineSky also powers maintenance: the
-// domination predicate between x and w reads only N(x) and N(w), so an
-// update to edge (u, v) can change the skyline status of exactly the
-// vertices paired with u or v — that is, u, v themselves and vertices
-// within two hops of either endpoint (before or after the update). The
-// maintainer recomputes the exact status of that affected set per
-// update; everything else is untouched.
+// The maintainer keeps the paper's O array (Algorithm 3's output) in
+// canonical form: O[x] is x's smallest-ID dominator, or x itself when
+// x is in the skyline. An isolated x > 0 has O[x] = 0, and an isolated
+// vertex 0 has the smallest non-isolated vertex, or itself in an
+// edgeless graph — the array core.BruteForce returns. It depends only
+// on the graph, not on the op history that produced it.
+//
+// Definition 2 reads only N(x) and N(w), and an op on edge (u, v)
+// changes only N(u) and N(v), so another vertex x can only gain or lose
+// u or v as a dominator, in a fixed direction: an insertion never
+// removes one and a deletion never adds one. u can gain or lose x only
+// if x ∈ N(v), or if N[x] contains u's neighbors other than v, which
+// puts x in N[p_u] for a neighbor p_u of u (taken before an insertion,
+// after a deletion); the same holds for v with the roles swapped. Per
+// op the maintainer therefore re-decides u and v with a full pivot
+// scan and runs one pair test per visited x: an insertion lowers O[x]
+// when the endpoint dominates x with a smaller ID, and a deletion
+// rescans x only when O[x] was the endpoint and that pair broke.
+// Isolated vertices follow the closed form; vertex 0's entry moves
+// only when an endpoint's isolation does. The obs counters
+// dynsky.update.pairs and dynsky.update.rescans count the pair tests
+// and full scans.
 //
 // The same locality fixes the representation. Rows keeps the immutable
 // CSR it was seeded with and gives a vertex a private sorted row only
 // when an update touches it; its Graph merges the private rows into a
 // fresh CSR, bulk-copying the untouched ranges. Rows is the one
 // representation of mutable graph state: the Maintainer here is Rows
-// plus level-0 status, internal/skytree's maintainer is Rows plus
-// layers, WAL recovery uses Rows alone, and all three apply batches
-// through ApplyRun. New seeds a Maintainer with one sharded skyline run
-// over the CSR; Seeded continues from a predecessor's Status instead,
-// which costs a copy of n bools, not a skyline run. A batch costs
-// O(degree) per patched row plus the 2-hop recomputes, and neither
-// seeding nor a batch allocates per vertex.
-//
-// Per-update cost is O(Σ_{x∈affected} deg(pivot(x))·deg(x)) — output
-// sensitive in the size of the 2-hop neighborhoods around the touched
-// edge, independent of n.
+// plus the O array, internal/skytree's maintainer is Rows plus layers,
+// WAL recovery uses Rows alone, and all three apply batches through
+// ApplyRun. New seeds a Maintainer with one sharded skyline run over
+// the CSR plus the smallest-ID scan of the dominated vertices; Seeded
+// continues from a predecessor's Dominators instead, which costs a
+// copy of n int32s, not a skyline run. A batch costs O(degree) per
+// patched row plus each op's scans and pair tests, independent of n,
+// and neither seeding nor a batch allocates per vertex.
 package dynsky
 
 import (
@@ -35,56 +47,53 @@ import (
 
 	"neisky/internal/core"
 	"neisky/internal/graph"
+	"neisky/internal/obs"
 	"neisky/internal/runctl"
 )
 
-// Maintainer holds a mutable graph and its incrementally-maintained
-// skyline. The vertex count is fixed at construction.
+// Maintainer holds a mutable graph and its canonical O array. The
+// vertex count is fixed at construction.
 //
 // The maintainer reads the storage of the graph it was seeded with
 // (which may be an mmap) until Graph returns; callers must keep that
 // graph alive until then.
 type Maintainer struct {
-	rows      *Rows
-	dominated []bool
-	skySize   int
-
-	// mark/marked collect a deduplicated vertex set (the 2-hop region
-	// of an update); mark is all false between uses.
-	mark   []bool
-	marked []int32
+	rows    *Rows
+	dom     []int32 // the canonical O array; dom[x] == x iff x ∈ R
+	skySize int
 }
 
-// New builds a Maintainer seeded from g. The initial domination status
-// of every vertex comes from one sharded skyline run over g; a caller
-// that holds g's exact status already seeds with Seeded instead.
+// New builds a Maintainer seeded from g: one sharded skyline run
+// decides which vertices are dominated, and a smallest-ID pivot scan
+// of each dominated vertex makes the O array canonical. A caller that
+// holds g's canonical array already seeds with Seeded instead.
 func New(g *graph.Graph) *Maintainer {
 	res := core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{})
 	if res.Truncated {
 		// No context reaches the run, so only a worker panic stops it.
 		panic(fmt.Sprintf("dynsky: seeding skyline run stopped early: %v", res.Err))
 	}
-	dominated := make([]bool, g.N())
-	for u := range dominated {
-		dominated[u] = true
+	// The engine's array is fresh and holds some dominator of each
+	// dominated vertex; replace those with the smallest.
+	m := &Maintainer{rows: NewRows(g), dom: res.Dominator, skySize: len(res.Skyline)}
+	for x, w := range m.dom {
+		if x := int32(x); w != x {
+			m.dom[x] = m.decide(x)
+		}
 	}
-	for _, u := range res.Skyline {
-		dominated[u] = false
-	}
-	return Seeded(g, dominated)
+	return m
 }
 
-// Seeded builds a Maintainer over g from g's exact domination status
-// (dominated[v] reports v ∉ R, as Status returns it), which it copies:
-// O(n), with no skyline run. A wrong status is not detected, and every
-// later answer inherits it.
-func Seeded(g *graph.Graph, dominated []bool) *Maintainer {
-	if len(dominated) != g.N() {
-		panic(fmt.Sprintf("dynsky: status of %d vertices for a graph of %d", len(dominated), g.N()))
+// Seeded builds a Maintainer over g from g's canonical O array (as
+// Dominators returns it), which it copies: O(n), with no skyline run.
+// A wrong array is not detected, and every later answer inherits it.
+func Seeded(g *graph.Graph, dominators []int32) *Maintainer {
+	if len(dominators) != g.N() {
+		panic(fmt.Sprintf("dynsky: O array of %d vertices for a graph of %d", len(dominators), g.N()))
 	}
-	m := &Maintainer{rows: NewRows(g), dominated: slices.Clone(dominated), mark: make([]bool, g.N())}
-	for _, d := range dominated {
-		if !d {
+	m := &Maintainer{rows: NewRows(g), dom: slices.Clone(dominators)}
+	for x, w := range dominators {
+		if w == int32(x) {
 			m.skySize++
 		}
 	}
@@ -114,23 +123,26 @@ func (m *Maintainer) Degree(u int32) int { return m.rows.Degree(u) }
 func (m *Maintainer) Has(u, v int32) bool { return m.rows.Has(u, v) }
 
 // InSkyline reports whether v is currently in the skyline.
-func (m *Maintainer) InSkyline(v int32) bool { return !m.dominated[v] }
+func (m *Maintainer) InSkyline(v int32) bool { return m.dom[v] == v }
 
 // SkylineSize returns |R| without materializing the set.
 func (m *Maintainer) SkylineSize() int { return m.skySize }
 
-// Status returns the current domination status by vertex ID (true: not
-// in the skyline), the input Seeded takes for the graph Graph returns.
-// The slice is the maintainer's own: later updates change it in place,
-// and callers must not modify it.
-func (m *Maintainer) Status() []bool { return m.dominated }
+// Dominators returns the current canonical O array in
+// core.Result.Dominator's convention: out[x] == x exactly when x is in
+// the skyline, and otherwise out[x] is x's smallest-ID dominator, for
+// isolated vertices too — the array core.BruteForce returns for the
+// graph Graph returns, and the input Seeded takes. The slice is the
+// maintainer's own: later updates change it in place, and callers must
+// not modify it.
+func (m *Maintainer) Dominators() []int32 { return m.dom }
 
 // Skyline materializes the current skyline in increasing ID order.
 func (m *Maintainer) Skyline() []int32 {
 	out := make([]int32, 0, m.skySize)
-	for v, d := range m.dominated {
-		if !d {
-			out = append(out, int32(v))
+	for v, w := range m.dom {
+		if w == int32(v) {
+			out = append(out, w)
 		}
 	}
 	return out
@@ -141,88 +153,116 @@ func (m *Maintainer) Skyline() []int32 {
 // seeded with. The result is never that seed graph.
 func (m *Maintainer) Graph() *graph.Graph { return m.rows.Graph() }
 
-// AddEdge inserts the undirected edge (u, v) and updates the skyline.
+// AddEdge inserts the undirected edge (u, v) and updates the O array.
 // It reports whether the edge was new. Self-loops are rejected.
 func (m *Maintainer) AddEdge(u, v int32) bool {
+	pu, pv := m.pivot(u), m.pivot(v) // before the op, as settle needs
 	if !m.rows.AddEdge(u, v) {
 		return false
 	}
-	// Insertion only grows rows, so the 2-hop region after it contains
-	// the region before it.
-	m.mark2Hop(u, v)
-	m.recompute()
+	m.settle(u, v, pu, pv, true)
 	return true
 }
 
-// RemoveEdge deletes the undirected edge (u, v) and updates the
-// skyline. It reports whether the edge existed.
+// RemoveEdge deletes the undirected edge (u, v) and updates the O
+// array. It reports whether the edge existed.
 func (m *Maintainer) RemoveEdge(u, v int32) bool {
-	if u == v || !m.Has(u, v) {
+	if !m.rows.RemoveEdge(u, v) {
 		return false
 	}
-	// Deletion only shrinks rows, so the 2-hop region before it
-	// contains the region after it.
-	m.mark2Hop(u, v)
-	m.rows.RemoveEdge(u, v)
-	m.recompute()
+	m.settle(u, v, m.pivot(u), m.pivot(v), false)
 	return true
 }
 
-// mark2Hop adds {u, v} plus all vertices within two hops of u or v
-// under the CURRENT adjacency to the marked set.
-func (m *Maintainer) mark2Hop(u, v int32) {
-	for _, s := range [2]int32{u, v} {
-		m.visit(s)
-		for _, x := range m.Neighbors(s) {
-			m.visit(x)
-			for _, y := range m.Neighbors(x) {
-				m.visit(y)
+// settle brings the O array up to date after the op on edge (u, v) has
+// reached the rows. pu and pv are the endpoints' pivots (-1 for none),
+// taken before an insertion and after a deletion, so that N[pu] holds
+// every x whose closed neighborhood contains u's neighbors other than
+// v (see the package comment).
+func (m *Maintainer) settle(u, v, pu, pv int32, add bool) {
+	var pairs, rescans int64
+	rescan := func(x int32) {
+		if m.Degree(x) > 0 {
+			rescans++
+		}
+		m.set(x, m.decide(x))
+	}
+	rescan(u)
+	rescan(v)
+	// visit runs the pair test of endpoint w against x, when its
+	// outcome can move O[x].
+	visit := func(w, x int32) {
+		if x == u || x == v {
+			return
+		}
+		switch o := m.dom[x]; {
+		case add && (o == x || w < o):
+			pairs++
+			if m.dominatesPair(w, x) {
+				m.set(x, w)
+			}
+		case !add && o == w:
+			pairs++
+			if !m.dominatesPair(w, x) {
+				rescan(x)
 			}
 		}
 	}
-}
-
-func (m *Maintainer) visit(x int32) {
-	if !m.mark[x] {
-		m.mark[x] = true
-		m.marked = append(m.marked, x)
-	}
-}
-
-// recompute refreshes the exact domination status of every marked
-// vertex and empties the marked set. An all-isolated graph flips status
-// globally when its last edge disappears or first edge appears, so that
-// case recomputes all.
-func (m *Maintainer) recompute() {
-	if m.M() <= 1 {
-		// Cheap and rare: near-edgeless graphs have global isolated
-		// tie-breaking, so refresh everything.
-		for v := int32(0); v < int32(m.N()); v++ {
-			m.setStatus(v, m.isDominated(v))
+	for _, e := range [2]struct{ w, far, p int32 }{{u, v, pu}, {v, u, pv}} {
+		for _, x := range m.Neighbors(e.far) {
+			visit(e.w, x)
 		}
-	} else {
-		// Isolated vertices outside the affected set keep "dominated"
-		// status as long as some edge exists; nothing to do for them.
-		for _, v := range m.marked {
-			m.setStatus(v, m.isDominated(v))
+		if e.p >= 0 {
+			visit(e.w, e.p)
+			for _, x := range m.Neighbors(e.p) {
+				visit(e.w, x)
+			}
 		}
 	}
-	for _, x := range m.marked {
-		m.mark[x] = false
+	// An isolated vertex 0 is dominated by exactly the non-isolated
+	// vertices, so its entry moves only when an endpoint's isolation
+	// flipped: degree 1 after an insertion, 0 after a deletion.
+	flip := 0
+	if add {
+		flip = 1
 	}
-	m.marked = m.marked[:0]
+	if u != 0 && v != 0 && m.Degree(0) == 0 && (m.Degree(u) == flip || m.Degree(v) == flip) {
+		m.set(0, m.decide(0))
+	}
+	r := obs.Get()
+	r.Add("dynsky.update.pairs", pairs)
+	r.Add("dynsky.update.rescans", rescans)
 }
 
-func (m *Maintainer) setStatus(v int32, dominated bool) {
-	if m.dominated[v] == dominated {
-		return
-	}
-	m.dominated[v] = dominated
-	if dominated {
+// set records w as x's O entry and keeps the skyline size in step.
+func (m *Maintainer) set(x, w int32) {
+	switch old := m.dom[x]; {
+	case old == x && w != x:
 		m.skySize--
-	} else {
+	case old != x && w == x:
 		m.skySize++
 	}
+	m.dom[x] = w
+}
+
+// decide evaluates x's canonical O entry from scratch on the current
+// adjacency.
+func (m *Maintainer) decide(x int32) int32 {
+	if m.Degree(x) > 0 {
+		return m.dominator(x)
+	}
+	// Every non-isolated vertex and every smaller isolated vertex
+	// dominates an isolated x, so vertex 0 is the smallest for x > 0.
+	// Vertex 0 itself gets the smallest non-isolated vertex, if any.
+	if x > 0 {
+		return 0
+	}
+	for w := int32(1); w < int32(m.N()); w++ {
+		if m.Degree(w) > 0 {
+			return w
+		}
+	}
+	return 0
 }
 
 // dominatesPair reports Definition 2 (x ≤ w) on the current adjacency.
@@ -245,35 +285,35 @@ func (m *Maintainer) openInClosed(a, b int32) bool {
 	return len(na) <= len(nb)+1 && graph.RowsOpenInClosed(na, nb, b)
 }
 
-// isDominated evaluates x's status from scratch.
-func (m *Maintainer) isDominated(x int32) bool {
-	if m.Degree(x) == 0 {
-		// Dominated by any non-isolated vertex; in an edgeless graph
-		// the minimum ID survives.
-		return m.M() > 0 || x != 0
-	}
-	return m.dominator(x) >= 0
-}
-
-// dominator returns the smallest-ID dominator of a non-isolated x, or
-// -1 when x is in the skyline. Every dominator is adjacent to all of
-// x's neighbors, so scanning the closed neighborhood of x's
-// minimum-degree neighbor p is complete (same pivot argument as the
-// static refine phase); p is tried first, then N(p) in ascending order.
-func (m *Maintainer) dominator(x int32) int32 {
+// pivot returns a minimum-degree neighbor of x, or -1 when x is
+// isolated.
+func (m *Maintainer) pivot(x int32) int32 {
 	nx := m.Neighbors(x)
+	if len(nx) == 0 {
+		return -1
+	}
 	p := nx[0]
 	for _, y := range nx[1:] {
 		if m.Degree(y) < m.Degree(p) {
 			p = y
 		}
 	}
-	best := int32(-1)
+	return p
+}
+
+// dominator returns the smallest-ID dominator of a non-isolated x, or
+// x itself when x is in the skyline. Every dominator is adjacent to all
+// of x's neighbors, so scanning the closed neighborhood of x's pivot p
+// is complete (same argument as the static refine phase); p is tried
+// first, then N(p) in ascending order.
+func (m *Maintainer) dominator(x int32) int32 {
+	p := m.pivot(x)
+	best := x
 	if m.dominatesPair(p, x) {
 		best = p
 	}
 	for _, w := range m.Neighbors(p) {
-		if best >= 0 && w > best {
+		if best != x && w > best {
 			break
 		}
 		if m.dominatesPair(w, x) {
@@ -281,17 +321,6 @@ func (m *Maintainer) dominator(x int32) int32 {
 		}
 	}
 	return best
-}
-
-// ApplyEdgeList inserts a batch of edges and returns how many were new.
-func (m *Maintainer) ApplyEdgeList(edges [][2]int32) int {
-	added := 0
-	for _, e := range edges {
-		if m.AddEdge(e[0], e[1]) {
-			added++
-		}
-	}
-	return added
 }
 
 // Op is one edge update in a batch: an insertion (Add) or deletion of
@@ -353,33 +382,4 @@ func ApplyRun(run *runctl.Run, ops []Op, add, remove func(u, v int32) bool) (pro
 		processed++
 	}
 	return processed, applied, nil
-}
-
-// Dominators returns, for diagnostic purposes, one dominator per vertex
-// (computed on demand) in core.Result.Dominator's convention: out[x] ==
-// x exactly when x is in the skyline. A dominated vertex with a
-// neighbor gets its smallest-ID dominator. An isolated dominated vertex
-// gets the smallest non-isolated vertex, or vertex 0 in an edgeless
-// graph; that is a valid dominator but not always the smallest, since
-// an isolated vertex 0 also dominates every isolated vertex above it.
-func (m *Maintainer) Dominators() []int32 {
-	first := int32(0)
-	for w := int32(0); w < int32(m.N()); w++ {
-		if m.Degree(w) > 0 {
-			first = w
-			break
-		}
-	}
-	out := make([]int32, m.N())
-	for x, d := range m.dominated {
-		switch x := int32(x); {
-		case !d:
-			out[x] = x
-		case m.Degree(x) == 0:
-			out[x] = first
-		default:
-			out[x] = m.dominator(x)
-		}
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"neisky/internal/core"
 	"neisky/internal/gen"
 	"neisky/internal/graph"
+	"neisky/internal/obs"
 	"neisky/internal/rng"
 )
 
@@ -173,15 +174,6 @@ func TestDominatorsValid(t *testing.T) {
 	valid("isolated")
 }
 
-func TestApplyEdgeList(t *testing.T) {
-	m := NewEmpty(5)
-	added := m.ApplyEdgeList([][2]int32{{0, 1}, {1, 2}, {0, 1}, {3, 3}})
-	if added != 2 {
-		t.Fatalf("added = %d, want 2", added)
-	}
-	check(t, m, "batch")
-}
-
 func TestQuickMaintainerAgainstStatic(t *testing.T) {
 	f := func(seed uint64, nRaw uint8, ops uint8) bool {
 		n := int(nRaw%12) + 3
@@ -201,4 +193,73 @@ func TestQuickMaintainerAgainstStatic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWitnessWorkFlatInN pins the locality of the witness rule: one
+// 8-op batch among low-degree vertices (four inserts, then their
+// deletes) does a number of pair tests and full scans that does not
+// grow with n, unlike a rule that would visit a fixed fraction of the
+// graph. The counts come from the obs counters a batch records.
+func TestWitnessWorkFlatInN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an 80k-vertex graph")
+	}
+	rec := obs.New()
+	defer obs.Swap(obs.Swap(rec))
+	measure := func(n int) (pairs, rescans int64) {
+		g, _, _ := gen.PowerLaw(n, 4*n, 2.5, 29).RelabelByDegree()
+		r := rng.New(30)
+		var batch []Op
+		for len(batch) < 4 {
+			u, v := int32(n/2+r.Intn(n/2)), int32(n/2+r.Intn(n/2))
+			if u != v && !g.Has(u, v) {
+				batch = append(batch, Op{Add: true, U: u, V: v})
+			}
+		}
+		for _, op := range batch[:4] {
+			batch = append(batch, Op{U: op.U, V: op.V})
+		}
+		m := New(g)
+		before := rec.Snapshot().Counters
+		if applied := m.Apply(batch); applied != len(batch) {
+			t.Fatalf("applied %d of %d ops", applied, len(batch))
+		}
+		after := rec.Snapshot().Counters
+		return after["dynsky.update.pairs"] - before["dynsky.update.pairs"],
+			after["dynsky.update.rescans"] - before["dynsky.update.rescans"]
+	}
+	pSmall, sSmall := measure(10000)
+	pLarge, sLarge := measure(80000)
+	t.Logf("per 8-op batch: %d pair tests and %d full scans at n=10k, %d and %d at n=80k", pSmall, sSmall, pLarge, sLarge)
+	if pSmall == 0 || sSmall == 0 {
+		t.Fatal("the batch recorded no work: the counters are not wired")
+	}
+	if pLarge >= 2*pSmall {
+		t.Errorf("pair tests grow with n: %d at n=10k, %d at n=80k", pSmall, pLarge)
+	}
+	if sLarge >= 2*sSmall {
+		t.Errorf("full scans grow with n: %d at n=10k, %d at n=80k", sSmall, sLarge)
+	}
+}
+
+// TestOpsAllocateNothingWithRecordingOff pins that an op's witness
+// rule and its work counters allocate nothing while obs recording is
+// off: once both endpoints own a private row, inserting and deleting
+// an edge between them costs zero allocations.
+func TestOpsAllocateNothingWithRecordingOff(t *testing.T) {
+	defer obs.Swap(obs.Swap(nil))
+	m := New(gen.PowerLaw(300, 900, 2.3, 9))
+	u, v := int32(7), int32(299)
+	for m.Has(u, v) {
+		v--
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if !m.AddEdge(u, v) || !m.RemoveEdge(u, v) {
+			t.Fatal("op did not apply")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("an insert and a delete allocated %.0f times with recording off", allocs)
+	}
+	check(t, m, "after the alloc runs")
 }

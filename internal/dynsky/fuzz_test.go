@@ -1,6 +1,7 @@
 package dynsky
 
 import (
+	"slices"
 	"testing"
 
 	"neisky/internal/core"
@@ -13,15 +14,21 @@ import (
 // an insert (k%3 == 0), a delete (k%3 == 1) or a Graph() snapshot
 // (k%3 == 2). Each snapshot is followed by the serving daemon's carry:
 // the stream continues on a maintainer Seeded from that snapshot and
-// the old maintainer's Status. After every op the maintainer must agree
-// with a test-local edge set and its skyline with the brute-force
-// oracle; every snapshot must be a valid CSR of exactly that edge set
-// and never the graph the maintainer was seeded or last rebased on.
+// the old maintainer's Dominators. After every op and every carry the
+// maintainer must agree with a test-local edge set, and its O array
+// with the brute-force oracle's, isolated vertices included; every
+// snapshot must be a valid CSR of exactly that edge set and never the
+// graph the maintainer was seeded or last rebased on.
 func FuzzMaintainerOps(f *testing.F) {
 	f.Add([]byte{5, 2, 0, 1, 1, 2, 0, 0, 2, 2, 0, 0, 1, 0, 1, 2, 0, 0})
 	f.Add([]byte{8, 0, 0, 0, 1, 0, 1, 2, 2, 0, 0, 1, 0, 1, 1, 2, 0, 0, 0, 3, 4, 2, 0, 0})
 	f.Add([]byte{1, 0, 2, 0, 0})
 	f.Add([]byte{31, 6, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 1, 0, 1, 0, 4, 5, 2, 0, 0, 1, 2, 3, 2, 0, 0})
+	// Isolate vertex 0 beside other edges, so its entry follows the
+	// smallest non-isolated vertex, carry it, then isolate that vertex.
+	f.Add([]byte{6, 4, 0, 1, 0, 2, 1, 3, 4, 5, 1, 0, 1, 1, 0, 2, 2, 0, 0, 1, 1, 3, 0, 0, 3, 2, 0, 0})
+	// Empty the graph, carry the edgeless array, then insert again.
+	f.Add([]byte{5, 3, 0, 1, 1, 2, 3, 4, 1, 0, 1, 1, 1, 2, 1, 3, 4, 2, 0, 0, 0, 2, 3, 0, 0, 4, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -70,7 +77,7 @@ func FuzzMaintainerOps(f *testing.F) {
 				}
 				checkCSR(t, g, edges)
 				prev = g
-				m = Seeded(g, m.Status())
+				m = Seeded(g, m.Dominators())
 			}
 			if m.M() != len(edges) {
 				t.Fatalf("M() = %d, edge set has %d", m.M(), len(edges))
@@ -79,9 +86,12 @@ func FuzzMaintainerOps(f *testing.F) {
 			for e := range edges {
 				list = append(list, e)
 			}
-			want := core.BruteForce(graph.FromEdges(int(n), list)).Skyline
-			if got := m.Skyline(); !core.EqualSkylines(got, want) || m.SkylineSize() != len(want) {
-				t.Fatalf("skyline %v (size %d), oracle %v on edges %v", got, m.SkylineSize(), want, list)
+			want := core.BruteForce(graph.FromEdges(int(n), list))
+			if got := m.Dominators(); !slices.Equal(got, want.Dominator) {
+				t.Fatalf("O array %v, oracle %v on edges %v", got, want.Dominator, list)
+			}
+			if got := m.Skyline(); !core.EqualSkylines(got, want.Skyline) || m.SkylineSize() != len(want.Skyline) {
+				t.Fatalf("skyline %v (size %d), oracle %v on edges %v", got, m.SkylineSize(), want.Skyline, list)
 			}
 		}
 		checkCSR(t, m.Graph(), edges)

@@ -52,11 +52,12 @@ type Snapshot struct {
 	treeMu sync.Mutex
 	tree   *skytree.Tree
 
-	// status is Graph's exact domination status (dynsky's Status), set
-	// by a batch swap without an index before it publishes and never
-	// written after; only the next batch swap reads it, under swapMu,
-	// to seed its maintainer without a skyline run. Nil after a load.
-	status []bool
+	// dominators is Graph's canonical O array (dynsky's Dominators),
+	// set by a batch swap without an index before it publishes and
+	// never written after; only the next batch swap reads it, under
+	// swapMu, to seed its maintainer without a skyline run. Nil after a
+	// load.
+	dominators []int32
 }
 
 // Tree returns the snapshot's layered dominance index, building it on

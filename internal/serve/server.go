@@ -82,13 +82,7 @@ type Server struct {
 
 // New builds a server owning a fresh store seeded with snap.
 func New(snap *Snapshot, opts Options) *Server {
-	return NewFromStore(NewStore(snap), opts)
-}
-
-// NewFromStore builds a server over an existing store (shared, e.g.,
-// with a background ingest loop). The server takes over Close.
-func NewFromStore(store *Store, opts Options) *Server {
-	s := &Server{store: store, opts: opts.withDefaults(), mux: http.NewServeMux(), start: time.Now()}
+	s := &Server{store: NewStore(snap), opts: opts.withDefaults(), mux: http.NewServeMux(), start: time.Now()}
 	s.adm = newAdmission(s.opts)
 	s.mux.HandleFunc("/v1/skyline", s.read("skyline", http.MethodGet, s.skyline))
 	s.mux.HandleFunc("/v1/skyline/layers", s.read("layers", http.MethodGet, s.layers))
@@ -654,8 +648,8 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 	// incrementally (skytree re-peels only each op's local region)
 	// instead of leaving the new epoch to a lazy from-scratch rebuild;
 	// the carried layer 0 gives the skyline size, so no skyline engine
-	// runs. Without an index, dynsky's maintained status gives it, and
-	// the new snapshot keeps that status for the next swap: only a
+	// runs. Without an index, dynsky's maintained O array gives it, and
+	// the new snapshot keeps that array for the next swap: only a
 	// lineage's first batch swap after a load (startup, file swap or WAL
 	// recovery) seeds it with an engine run. A cancelled batch publishes
 	// the exact applied prefix either way.
@@ -672,13 +666,13 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 		skySize = t.SkylineSize(snap.Graph)
 	} else {
 		var m *dynsky.Maintainer
-		if prev := pin.Snapshot().status; prev != nil {
+		if prev := pin.Snapshot().dominators; prev != nil {
 			m = dynsky.Seeded(g, prev)
 		} else {
 			m = dynsky.New(g)
 		}
 		processed, applied, applyErr = m.ApplyPrefixCtx(ctx, batch)
-		snap = &Snapshot{Graph: m.Graph(), Name: fmt.Sprintf("batch:%d", applied), status: m.Status()}
+		snap = &Snapshot{Graph: m.Graph(), Name: fmt.Sprintf("batch:%d", applied), dominators: m.Dominators()}
 		skySize = m.SkylineSize()
 	}
 	// Ack-after-durable: the processed prefix — exactly what the new

@@ -81,12 +81,12 @@ func (m *edgeModel) skylineSize() int {
 
 // TestSwapSkylineSizeMatchesOracle checks the value of every batch
 // swap's skyline_size against brute force on a mirrored edge set, on
-// both swap branches: without an index (dynsky's maintained status,
-// each swap after the first seeded from the status its predecessor
-// published) and after a /v1/skyline/layers prewarm (derived from the
-// carried layer 0). The series includes a batch that isolates a vertex,
-// one that removes every edge (skyline {0}), and the first inserts
-// after it.
+// both swap branches: without an index (dynsky's maintained O array,
+// each swap after the first seeded from the array its predecessor
+// published, which must equal brute force's too) and after a
+// /v1/skyline/layers prewarm (derived from the carried layer 0). The
+// series includes a batch that isolates a vertex, one that removes
+// every edge (skyline {0}), and the first inserts after it.
 func TestSwapSkylineSizeMatchesOracle(t *testing.T) {
 	for _, carried := range []bool{false, true} {
 		t.Run(fmt.Sprintf("carried=%v", carried), func(t *testing.T) {
@@ -125,6 +125,14 @@ func TestSwapSkylineSizeMatchesOracle(t *testing.T) {
 				pin.Release()
 				if hasTree != carried {
 					t.Fatalf("%s: new epoch carries an index: %v, want %v", label, hasTree, carried)
+				}
+				if !carried {
+					pin := srv.Store().Acquire()
+					got := pin.Snapshot().dominators
+					pin.Release()
+					if want := core.BruteForce(graph.FromEdges(model.n, model.list())).Dominator; !slices.Equal(got, want) {
+						t.Fatalf("%s: carried O array %v, brute force %v", label, got, want)
+					}
 				}
 			}
 			for i, b := range batches {

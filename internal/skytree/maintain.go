@@ -19,7 +19,7 @@ import (
 // Locality. An update to edge (u, v) can flip a level-k domination
 // pair (w, x) only when the edge is incident to x or w, which confines
 // the directly-affected vertices to the 2-hop neighborhoods of the
-// endpoints (dynsky's argument, level by level). Layer REASSIGNMENTS
+// endpoints (Definition 2's locality, level by level). Layer REASSIGNMENTS
 // can then cascade: x's level-k status reads the S_k membership of x's
 // neighbors, of its candidate dominators (2 hops), and — through the
 // mutual-inclusion tie check — of the candidates' neighbors (3 hops).
