@@ -16,8 +16,8 @@ import (
 
 // The gatebench workload: a small-n, deterministic row per engine
 // family (serial skyline = the reference, sharded skyline, layered
-// index build + subset query, the status carry of a batch swap without
-// an index, group centrality).
+// index build + subset query, the carries of a batch swap with and
+// without an index, group centrality).
 // Small enough for a CI job (seconds), large enough that each row's
 // cost is dominated by its engine's hot loop rather than setup noise.
 // scripts/bench_compare.go diffs these rows — ratio-normalized against
@@ -109,6 +109,17 @@ func RunGateJSON(w io.Writer, cfg GateConfig) error {
 				m := dynsky.Seeded(cur, d)
 				_, _, _ = m.ApplyPrefixCtx(ctx, carry)
 				cur, d = m.Graph(), m.Dominators()
+			}
+		}},
+		// The tree carry of batch swaps with an index: 4 in a row, each
+		// from the graph and tree the one before it published, over the
+		// same 8 ops. One carry takes ~25 ms.
+		{"TreeCarry-8ops", "powerlaw-20k", g.N(), g.M(), func() {
+			cur, t := g, tree
+			for i := 0; i < 4; i++ {
+				m := skytree.NewMaintainerFromTree(cur, t)
+				_, _, _ = m.ApplyPrefixCtx(ctx, carry)
+				cur, t = m.Graph(), m.Tree()
 			}
 		}},
 		{"GreedyCloseness-k4", "powerlaw-3k", cg.N(), cg.M(), func() {

@@ -211,7 +211,7 @@ func TestLemma3EdgeConstrained(t *testing.T) {
 		n := int32(g.N())
 		for u := int32(0); u < n; u++ {
 			for v := int32(0); v < n; v++ {
-				if u == v || !g.Has(u, v) || !g.SubsetClosedInClosed(v, u) {
+				if u == v || !g.Has(u, v) || !g.SubsetOpenInClosed(v, u) {
 					continue
 				}
 				var s []int32

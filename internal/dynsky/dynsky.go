@@ -19,7 +19,8 @@
 // op the maintainer therefore re-decides u and v with a full pivot
 // scan and runs one pair test per visited x: an insertion lowers O[x]
 // when the endpoint dominates x with a smaller ID, and a deletion
-// rescans x only when O[x] was the endpoint and that pair broke.
+// rescans x only when O[x] was the endpoint and that pair broke. The
+// pivots, pair tests and scans are core.Kernel's on the whole graph.
 // Isolated vertices follow the closed form; vertex 0's entry moves
 // only when an endpoint's isolation does. The obs counters
 // dynsky.update.pairs and dynsky.update.rescans count the pair tests
@@ -59,7 +60,8 @@ import (
 // graph alive until then.
 type Maintainer struct {
 	rows    *Rows
-	dom     []int32 // the canonical O array; dom[x] == x iff x ∈ R
+	kn      core.Kernel // dominance on the whole graph of rows
+	dom     []int32     // the canonical O array; dom[x] == x iff x ∈ R
 	skySize int
 }
 
@@ -75,7 +77,8 @@ func New(g *graph.Graph) *Maintainer {
 	}
 	// The engine's array is fresh and holds some dominator of each
 	// dominated vertex; replace those with the smallest.
-	m := &Maintainer{rows: NewRows(g), dom: res.Dominator, skySize: len(res.Skyline)}
+	m := newMaintainer(g, res.Dominator)
+	m.skySize = len(res.Skyline)
 	for x, w := range m.dom {
 		if x := int32(x); w != x {
 			m.dom[x] = m.decide(x)
@@ -91,13 +94,20 @@ func Seeded(g *graph.Graph, dominators []int32) *Maintainer {
 	if len(dominators) != g.N() {
 		panic(fmt.Sprintf("dynsky: O array of %d vertices for a graph of %d", len(dominators), g.N()))
 	}
-	m := &Maintainer{rows: NewRows(g), dom: slices.Clone(dominators)}
+	m := newMaintainer(g, slices.Clone(dominators))
 	for x, w := range dominators {
 		if w == int32(x) {
 			m.skySize++
 		}
 	}
 	return m
+}
+
+// newMaintainer puts rows over g beside the O array dom, which it
+// takes over; the caller sets skySize.
+func newMaintainer(g *graph.Graph, dom []int32) *Maintainer {
+	rows := NewRows(g)
+	return &Maintainer{rows: rows, kn: core.Kernel{G: rows}, dom: dom}
 }
 
 // NewEmpty builds a Maintainer for an edgeless graph on n vertices.
@@ -156,7 +166,7 @@ func (m *Maintainer) Graph() *graph.Graph { return m.rows.Graph() }
 // AddEdge inserts the undirected edge (u, v) and updates the O array.
 // It reports whether the edge was new. Self-loops are rejected.
 func (m *Maintainer) AddEdge(u, v int32) bool {
-	pu, pv := m.pivot(u), m.pivot(v) // before the op, as settle needs
+	pu, pv := m.kn.Pivot(u), m.kn.Pivot(v) // before the op, as settle needs
 	if !m.rows.AddEdge(u, v) {
 		return false
 	}
@@ -170,7 +180,7 @@ func (m *Maintainer) RemoveEdge(u, v int32) bool {
 	if !m.rows.RemoveEdge(u, v) {
 		return false
 	}
-	m.settle(u, v, m.pivot(u), m.pivot(v), false)
+	m.settle(u, v, m.kn.Pivot(u), m.kn.Pivot(v), false)
 	return true
 }
 
@@ -198,12 +208,12 @@ func (m *Maintainer) settle(u, v, pu, pv int32, add bool) {
 		switch o := m.dom[x]; {
 		case add && (o == x || w < o):
 			pairs++
-			if m.dominatesPair(w, x) {
+			if m.kn.Dominates(w, x) {
 				m.set(x, w)
 			}
 		case !add && o == w:
 			pairs++
-			if !m.dominatesPair(w, x) {
+			if !m.kn.Dominates(w, x) {
 				rescan(x)
 			}
 		}
@@ -249,7 +259,10 @@ func (m *Maintainer) set(x, w int32) {
 // adjacency.
 func (m *Maintainer) decide(x int32) int32 {
 	if m.Degree(x) > 0 {
-		return m.dominator(x)
+		if w := m.kn.SmallestDominator(x); w >= 0 {
+			return w
+		}
+		return x
 	}
 	// Every non-isolated vertex and every smaller isolated vertex
 	// dominates an isolated x, so vertex 0 is the smallest for x > 0.
@@ -263,64 +276,6 @@ func (m *Maintainer) decide(x int32) int32 {
 		}
 	}
 	return 0
-}
-
-// dominatesPair reports Definition 2 (x ≤ w) on the current adjacency.
-func (m *Maintainer) dominatesPair(w, x int32) bool {
-	if w == x {
-		return false
-	}
-	if !m.openInClosed(x, w) {
-		return false
-	}
-	if !m.openInClosed(w, x) {
-		return true
-	}
-	return w < x
-}
-
-// openInClosed reports N(a) ⊆ N[b].
-func (m *Maintainer) openInClosed(a, b int32) bool {
-	na, nb := m.Neighbors(a), m.Neighbors(b)
-	return len(na) <= len(nb)+1 && graph.RowsOpenInClosed(na, nb, b)
-}
-
-// pivot returns a minimum-degree neighbor of x, or -1 when x is
-// isolated.
-func (m *Maintainer) pivot(x int32) int32 {
-	nx := m.Neighbors(x)
-	if len(nx) == 0 {
-		return -1
-	}
-	p := nx[0]
-	for _, y := range nx[1:] {
-		if m.Degree(y) < m.Degree(p) {
-			p = y
-		}
-	}
-	return p
-}
-
-// dominator returns the smallest-ID dominator of a non-isolated x, or
-// x itself when x is in the skyline. Every dominator is adjacent to all
-// of x's neighbors, so scanning the closed neighborhood of x's pivot p
-// is complete (same argument as the static refine phase); p is tried
-// first, then N(p) in ascending order.
-func (m *Maintainer) dominator(x int32) int32 {
-	p := m.pivot(x)
-	best := x
-	if m.dominatesPair(p, x) {
-		best = p
-	}
-	for _, w := range m.Neighbors(p) {
-		if best != x && w > best {
-			break
-		}
-		if m.dominatesPair(w, x) {
-			return w
-		}
-	}
-	return best
 }
 
 // Op is one edge update in a batch: an insertion (Add) or deletion of

@@ -7,40 +7,13 @@ import (
 	"neisky/internal/rng"
 )
 
-// Edge-stream workloads for the dynamic skyline maintainer: a sliding
-// window over a scripted edge sequence, the standard model for temporal
-// graph processing.
+// Edge-stream workloads for the dynamic skyline maintainer: random link
+// churn over a base graph.
 
 // StreamOp is one edge update.
 type StreamOp struct {
 	Add  bool
 	U, V int32
-}
-
-// SlidingWindowStream produces the update sequence of a size-window
-// sliding window over a random edge sequence on n vertices: each step
-// inserts a fresh random edge and, once the window is full, deletes the
-// oldest one. The result interleaves inserts and deletes exactly as a
-// windowed stream processor would see them.
-func SlidingWindowStream(n, steps, window int, seed uint64) []StreamOp {
-	r := rng.New(seed)
-	ops := make([]StreamOp, 0, 2*steps)
-	var live [][2]int32
-	for i := 0; i < steps; i++ {
-		u := int32(r.Intn(n))
-		v := int32(r.Intn(n))
-		if u == v {
-			v = (v + 1) % int32(n)
-		}
-		ops = append(ops, StreamOp{Add: true, U: u, V: v})
-		live = append(live, [2]int32{u, v})
-		if len(live) > window {
-			old := live[0]
-			live = live[1:]
-			ops = append(ops, StreamOp{Add: false, U: old[0], V: old[1]})
-		}
-	}
-	return ops
 }
 
 // ChurnStream mutates a base graph: each step flips a random vertex
@@ -196,30 +169,4 @@ func ShuffledLabels(n int, seed uint64, emit func(u, v int32) error) func(u, v i
 	return func(u, v int32) error {
 		return emit(ids[u], ids[v])
 	}
-}
-
-// PreferentialStream grows a graph with degree-biased endpoints (new
-// edges prefer hubs), producing realistic skew in the maintained graph.
-func PreferentialStream(n, steps int, seed uint64) []StreamOp {
-	r := rng.New(seed)
-	ops := make([]StreamOp, 0, steps)
-	endpoints := make([]int32, 0, 2*steps)
-	pick := func() int32 {
-		// Degree-proportional with probability 3/4: sampling from the
-		// endpoint multiset is preferential attachment.
-		if len(endpoints) > 0 && r.Float64() < 0.75 {
-			return endpoints[r.Intn(len(endpoints))]
-		}
-		return int32(r.Intn(n))
-	}
-	for i := 0; i < steps; i++ {
-		u := pick()
-		v := pick()
-		if u == v {
-			continue
-		}
-		ops = append(ops, StreamOp{Add: true, U: u, V: v})
-		endpoints = append(endpoints, u, v)
-	}
-	return ops
 }

@@ -428,12 +428,6 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return b.Build(), nil
 }
 
-// ClosedNeighborhoodContains reports whether N[u] ⊇ N[v]-style membership
-// helpers are needed frequently; this one reports w ∈ N[u].
-func (g *Graph) ClosedNeighborhoodContains(u, w int32) bool {
-	return u == w || g.Has(u, w)
-}
-
 // SubsetOpenInClosed reports whether N(u) ⊆ N[v], the paper's
 // "u is neighborhood-included by v" (Definition 1). It merges the two
 // sorted adjacency lists and exits on the first witness against
@@ -462,17 +456,6 @@ func mergeOpenInClosed(nu, nv []int32, v int32) bool {
 		j++
 	}
 	return true
-}
-
-// SubsetClosedInClosed reports whether N[u] ⊆ N[v], the paper's
-// edge-constrained neighborhood inclusion (Definition 4) when u and v are
-// adjacent. For adjacent u, v this is equivalent to SubsetOpenInClosed.
-func (g *Graph) SubsetClosedInClosed(u, v int32) bool {
-	if !g.Has(u, v) && u != v {
-		// u ∈ N[u] must be in N[v]: requires u == v or adjacency.
-		return false
-	}
-	return g.SubsetOpenInClosed(u, v)
 }
 
 // DropIsolated returns the graph restricted to vertices with at least

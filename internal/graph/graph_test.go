@@ -247,21 +247,6 @@ func TestSubsetOpenInClosedOracle(t *testing.T) {
 	}
 }
 
-func TestSubsetClosedInClosed(t *testing.T) {
-	// Triangle plus pendant: N[3] = {2,3} ⊆ N[2] = {0,1,2,3}.
-	g := FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
-	if !g.SubsetClosedInClosed(3, 2) {
-		t.Fatal("N[3] ⊆ N[2] should hold")
-	}
-	if g.SubsetClosedInClosed(2, 3) {
-		t.Fatal("N[2] ⊄ N[3]")
-	}
-	// Non-adjacent vertices can never satisfy closed-in-closed.
-	if g.SubsetClosedInClosed(3, 0) {
-		t.Fatal("non-adjacent closed inclusion must fail")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	g := mustTriangle(t)
 	c := g.Clone()

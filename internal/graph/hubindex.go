@@ -150,25 +150,15 @@ func (h *HubIndex) SubsetOpenInClosed(u, v int32) bool {
 		}
 		return true
 	}
-	return RowsOpenInClosed(h.g.Neighbors(u), h.g.Neighbors(v), v)
+	return rowsOpenInClosed(h.g.Neighbors(u), h.g.Neighbors(v), v)
 }
 
-// SubsetClosedInClosed reports N[u] ⊆ N[v] (paper Definition 4) through
-// the hub kernels.
-func (h *HubIndex) SubsetClosedInClosed(u, v int32) bool {
-	if u != v && !h.Has(v, u) {
-		return false
-	}
-	return h.SubsetOpenInClosed(u, v)
-}
-
-// RowsOpenInClosed reports N(u) ⊆ N[v] on explicit sorted rows
-// nu = N(u), nv = N(v) — the non-hub containment kernel, shared with
-// callers that keep rows outside a CSR (internal/dynsky): the legacy
+// rowsOpenInClosed reports N(u) ⊆ N[v] on explicit sorted rows
+// nu = N(u), nv = N(v) — the non-hub containment kernel: the legacy
 // merge when the two lists are comparable, per-element galloping probes
 // into N(v) when deg(v) dwarfs deg(u) (cost deg(u)·log deg(v) instead
 // of deg(u)+deg(v)).
-func RowsOpenInClosed(nu, nv []int32, v int32) bool {
+func rowsOpenInClosed(nu, nv []int32, v int32) bool {
 	if len(nv) > 4*len(nu)+16 {
 		for _, x := range nu {
 			if x != v && !searchSorted(nv, x) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"neisky/internal/core"
 	"neisky/internal/dynsky"
 	"neisky/internal/graph"
 	"neisky/internal/obs"
@@ -162,11 +163,6 @@ func (m *Maintainer) ApplyPrefixCtx(ctx context.Context, ops []dynsky.Op) (proce
 	return dynsky.ApplyRun(run, ops, m.AddEdge, m.RemoveEdge)
 }
 
-// view returns the level-predicate view over the live adjacency.
-func (m *Maintainer) view() levelView {
-	return levelView{g: m.rows, layer: m.layer}
-}
-
 // enter adds v to the dirty set, recording its current layer as the
 // baseline outside observers last saw.
 func (m *Maintainer) enter(v int32) {
@@ -220,13 +216,8 @@ func (m *Maintainer) update() {
 	// Parents: every dirty vertex gets its canonical witness
 	// recomputed; vertices outside the closure kept their layer and
 	// their 3-hop layers, so their witnesses are unchanged.
-	lv := m.view()
 	for _, v := range m.scratch.dirty {
-		if m.layer[v] == 0 {
-			m.parent[v] = -1
-		} else {
-			m.parent[v] = lv.parentAt(v, m.layer[v])
-		}
+		m.parent[v] = parentOf(m.rows, m.layer, v)
 		m.scratch.inDirty[v] = false
 	}
 }
@@ -284,8 +275,10 @@ func (m *Maintainer) setLayer(v, l int32) {
 // level-by-level peel, treating every other vertex's layer as fixed.
 // Unassigned dirty vertices count as members of every remaining set
 // until the round that assigns them — exactly the global peel's view.
+// A vertex the kernel finds undominated in S_k, including one isolated
+// there (KeepIsolated), takes layer k.
 func (m *Maintainer) peelLocal(dirty []int32) {
-	lv := m.view()
+	kn := core.Kernel{G: m.rows}
 	for _, v := range dirty {
 		m.setLayer(v, -1) // histogram tolerates -1 via the old>=0 guard
 	}
@@ -298,9 +291,10 @@ func (m *Maintainer) peelLocal(dirty []int32) {
 		if k > bound {
 			panic("skytree: local peel failed to converge (invariant violation)")
 		}
+		kn.S = core.Level(m.layer, k)
 		still := undecided[:0]
 		for _, v := range undecided {
-			if lv.dominatedAt(v, k) {
+			if kn.FirstDominator(v) >= 0 {
 				still = append(still, v)
 			} else {
 				m.setLayer(v, k)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 
+	"neisky/internal/core"
 	"neisky/internal/graph"
 	"neisky/internal/obs"
 	"neisky/internal/runctl"
@@ -15,10 +16,10 @@ import (
 // index (sketches, hub bitmaps) is built, which is what lets the
 // layered index beat a per-query engine recompute (BENCH_6).
 //
-// Exactness. Dominance inside G[Q] is evaluated from first principles
-// with the pivot argument restricted to Q: every dominator of q in
-// G[Q] is adjacent to all of q's Q-neighbors, so scanning the closed
-// neighborhood of one Q-neighbor (minimum degree, as a heuristic) is
+// Exactness. Dominance inside G[Q] is decided by core's dominance
+// kernel scoped to Q (core.Subset): every dominator of q in G[Q] is
+// adjacent to all of q's Q-neighbors, so scanning the closed
+// neighborhood of one Q-neighbor (the kernel's minimum-degree pivot) is
 // complete. A vertex with no neighbor in Q is maximal (the same
 // KeepIsolated convention the tree uses at every level).
 //
@@ -73,6 +74,7 @@ func SubsetSkylineCtx(ctx context.Context, g *graph.Graph, t *Tree, sub []int32)
 	slices.Sort(q)
 
 	res := &SubsetResult{}
+	kn := core.Kernel{G: g, S: core.Subset(inQ)}
 	out := make([]int32, 0, len(q))
 	cp := run.Checkpoint(checkEvery)
 	for i, v := range q {
@@ -83,7 +85,10 @@ func SubsetSkylineCtx(ctx context.Context, g *graph.Graph, t *Tree, sub []int32)
 			out = append(out, q[i:]...)
 			break
 		}
-		if !subsetDominated(g, t, inQ, v, res) {
+		// KeepIsolated: a vertex with no neighbor in Q is maximal. Most
+		// of a small Q is, so this runs inline, before any kernel call.
+		if !slices.ContainsFunc(g.Neighbors(v), func(x int32) bool { return inQ[x] }) ||
+			!subsetDominated(&kn, t, v, res) {
 			out = append(out, v)
 		}
 	}
@@ -92,43 +97,29 @@ func SubsetSkylineCtx(ctx context.Context, g *graph.Graph, t *Tree, sub []int32)
 	return res
 }
 
-// subsetDominated reports whether v is dominated inside G[Q].
-func subsetDominated(g *graph.Graph, t *Tree, inQ []bool, v int32, res *SubsetResult) bool {
-	// Pivot: v's minimum-degree neighbor inside Q. Isolated-in-Q
-	// vertices are maximal, and deciding that BEFORE any dominance
-	// probe matters: inclusion is vacuously true for a vertex with no
-	// Q-neighbors, so a probe would "dominate" it against the
-	// KeepIsolated convention.
-	pivot := int32(-1)
-	pd := 0
-	for _, x := range g.Neighbors(v) {
-		if !inQ[x] {
-			continue
-		}
-		if d := g.Degree(x); pivot < 0 || d < pd || (d == pd && x < pivot) {
-			pivot, pd = x, d
-		}
-	}
-	if pivot < 0 {
-		return false
+// subsetDominated reports whether v, which has a neighbor in Q, is
+// dominated inside G[Q], where kn is the dominance kernel scoped to Q.
+// The caller must rule out an isolated v first: the pair test alone
+// would let anyone dominate it.
+func subsetDominated(kn *core.Kernel, t *Tree, v int32, res *SubsetResult) bool {
+	pivot := kn.Pivot(v)
+	probe := func(w int32) bool {
+		res.PairsExamined++
+		return kn.Dominates(w, v)
 	}
 	// Witness-first probe: the layered peel already certified
 	// parent(v) as a dominator of v in one induced remainder; inside
 	// Q it is the best single guess.
 	if t != nil {
-		if p := t.Parent(v); p >= 0 && p != pivot && inQ[p] {
-			res.PairsExamined++
-			if dominatesInQ(g, inQ, p, v) {
-				res.WitnessHits++
-				return true
-			}
+		if p := t.Parent(v); p >= 0 && p != pivot && kn.S.Contains(p) && probe(p) {
+			res.WitnessHits++
+			return true
 		}
 	}
-	res.PairsExamined++
-	if dominatesInQ(g, inQ, pivot, v) {
+	if probe(pivot) {
 		return true
 	}
-	nbrs := g.Neighbors(pivot)
+	nbrs := kn.G.Neighbors(pivot)
 	if t != nil {
 		// Shallow-layer-first: probe candidates at layers ≤ layer(v)
 		// before the rest — dominance flows from shallow to deep far
@@ -136,53 +127,21 @@ func subsetDominated(g *graph.Graph, t *Tree, inQ []bool, v int32, res *SubsetRe
 		// in the first pass.
 		lv := t.Layer(v)
 		for _, w := range nbrs {
-			if w != v && inQ[w] && t.Layer(w) <= lv {
-				res.PairsExamined++
-				if dominatesInQ(g, inQ, w, v) {
-					return true
-				}
+			if w != v && kn.S.Contains(w) && t.Layer(w) <= lv && probe(w) {
+				return true
 			}
 		}
 		for _, w := range nbrs {
-			if w != v && inQ[w] && t.Layer(w) > lv {
-				res.PairsExamined++
-				if dominatesInQ(g, inQ, w, v) {
-					return true
-				}
+			if w != v && kn.S.Contains(w) && t.Layer(w) > lv && probe(w) {
+				return true
 			}
 		}
 		return false
 	}
 	for _, w := range nbrs {
-		if w != v && inQ[w] {
-			res.PairsExamined++
-			if dominatesInQ(g, inQ, w, v) {
-				return true
-			}
+		if w != v && kn.S.Contains(w) && probe(w) {
+			return true
 		}
 	}
 	return false
-}
-
-// dominatesInQ reports w ≤-dominates v inside G[Q] (Definition 2 on
-// the induced subgraph, ID tie-break on mutual inclusion). When w < v
-// the mutual check is skipped: the tie would go to w anyway.
-func dominatesInQ(g *graph.Graph, inQ []bool, w, v int32) bool {
-	if w == v || !includedInQ(g, inQ, v, w) {
-		return false
-	}
-	if w < v {
-		return true
-	}
-	return !includedInQ(g, inQ, w, v)
-}
-
-// includedInQ reports N_Q(a) ⊆ N_Q[b].
-func includedInQ(g *graph.Graph, inQ []bool, a, b int32) bool {
-	for _, x := range g.Neighbors(a) {
-		if x != b && inQ[x] && !g.Has(b, x) {
-			return false
-		}
-	}
-	return true
 }

@@ -24,7 +24,9 @@
 // Construction reuses the sharded fused filter/refine engine
 // (core.ShardedFilterRefineSky, register-sketch pre-filter included)
 // once per level on the materialized remainder, then assigns parents
-// with one local pivot scan per dominated vertex against the full CSR.
+// with one pivot scan per dominated vertex against the full CSR. That
+// scan, the maintainer's level predicates and subset queries are all
+// core's dominance kernel (core.Kernel), scoped to a level or to Q.
 package skytree
 
 import (
@@ -154,9 +156,8 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opts BuildOptions) *Tree {
 }
 
 // assignParents fills parent[v] for every assigned vertex of layer ≥ 1
-// with the canonical previous-layer witness (levelView.parentAt).
+// with its canonical witness (parentOf).
 func (t *Tree) assignParents(run *runctl.Run, g *graph.Graph) {
-	lv := levelView{g: g, layer: t.layer}
 	cp := run.Checkpoint(checkEvery)
 	for v := int32(0); v < int32(g.N()); v++ {
 		if t.layer[v] <= 0 {
@@ -169,8 +170,25 @@ func (t *Tree) assignParents(run *runctl.Run, g *graph.Graph) {
 			}
 			return
 		}
-		t.parent[v] = lv.parentAt(v, t.layer[v])
+		t.parent[v] = parentOf(g, t.layer, v)
 	}
+}
+
+// parentOf returns the canonical parent witness of v under layer on
+// adjacency g: for layer[v] = k ≥ 1, the smallest-ID vertex of layer
+// k-1 that dominates v in the level-(k-1) induced subgraph, and -1 for
+// layer 0. Such a witness always exists: dominance at a fixed level is
+// a finite strict partial order, so above any dominated vertex sits a
+// maximal element of that level, and the maximal elements of level k-1
+// are exactly layer k-1. Restricting the witness to the previous layer,
+// rather than any dominator (whose own layer the peel does not order),
+// makes parent chains ascend one layer per hop and end at layer 0.
+func parentOf(g core.Adj, layer []int32, v int32) int32 {
+	if layer[v] <= 0 {
+		return -1
+	}
+	kn := core.Kernel{G: g, S: core.Level(layer, layer[v]-1)}
+	return kn.SmallestDominator(v)
 }
 
 // buildLayerLists materializes the per-layer vertex lists (ascending —
