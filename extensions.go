@@ -66,8 +66,9 @@ func BuildSkylineTree(g *Graph, opts SkylineTreeOptions) *SkylineTree {
 }
 
 // SkylineTreeMaintainer keeps a layered dominance index exact under
-// edge insertions and deletions, re-peeling only the local region each
-// update can affect.
+// edge insertions and deletions, re-deciding at each level only the
+// vertices whose rows an update changed and the vertices those can
+// newly dominate or stop dominating.
 type SkylineTreeMaintainer = skytree.Maintainer
 
 // NewSkylineTreeMaintainer builds a maintainer for g (initial index

@@ -111,12 +111,13 @@ func RunGateJSON(w io.Writer, cfg GateConfig) error {
 				cur, d = m.Graph(), m.Dominators()
 			}
 		}},
-		// The tree carry of batch swaps with an index: 4 in a row, each
+		// The tree carry of batch swaps with an index: 16 in a row, each
 		// from the graph and tree the one before it published, over the
-		// same 8 ops. One carry takes ~25 ms.
+		// same 8 ops. One carry takes ~0.7 ms, too short to time alone
+		// (see StatusCarry-8ops).
 		{"TreeCarry-8ops", "powerlaw-20k", g.N(), g.M(), func() {
 			cur, t := g, tree
-			for i := 0; i < 4; i++ {
+			for i := 0; i < 16; i++ {
 				m := skytree.NewMaintainerFromTree(cur, t)
 				_, _, _ = m.ApplyPrefixCtx(ctx, carry)
 				cur, t = m.Graph(), m.Tree()

@@ -645,8 +645,9 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 
 	start := time.Now()
 	// If the outgoing snapshot has a built layered index, carry it over
-	// incrementally (skytree re-peels only each op's local region)
-	// instead of leaving the new epoch to a lazy from-scratch rebuild;
+	// incrementally (skytree re-decides, level by level, only the
+	// vertices each op can flip) instead of leaving the new epoch to a
+	// lazy from-scratch rebuild;
 	// the carried layer 0 gives the skyline size, so no skyline engine
 	// runs. Without an index, dynsky's maintained O array gives it, and
 	// the new snapshot keeps that array for the next swap: only a

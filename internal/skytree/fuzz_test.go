@@ -19,6 +19,14 @@ func FuzzTreeMaintainerOps(f *testing.F) {
 	f.Add([]byte{8, 0, 0, 0, 1, 0, 1, 2, 0, 0, 3, 1, 0, 1, 1, 1, 2, 0, 3, 4})
 	f.Add([]byte{1, 0, 0, 0, 0})
 	f.Add([]byte{31, 6, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 1, 0, 1, 0, 4, 5, 1, 2, 3, 1, 0, 2, 1, 0, 3})
+	// N(8) = N(17) = {18, 19} is a tie that 8 wins; inserting 0-17 makes
+	// 17 strictly dominate 8, which is not in N(0).
+	f.Add([]byte{19, 4, 8, 18, 8, 19, 17, 18, 17, 19, 0, 0, 17})
+	// Inserting 2-3 sends a vertex to a new deepest layer (2 → 3 layers).
+	f.Add([]byte{4, 5, 0, 1, 0, 2, 0, 4, 1, 2, 1, 3, 0, 2, 3})
+	// Deleting 0-3 leaves 0 isolated inside S_1 = {0, 1, 3}, where it is
+	// maximal though a bare pair test would let 1 or 3 dominate it.
+	f.Add([]byte{3, 5, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 1, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

@@ -17,37 +17,59 @@ import (
 // on top of it; layer 0 is the skyline (KeepIsolated), so no separate
 // level-0 maintainer runs beside it (Tree.SkylineSize derives |R|).
 //
-// Locality. An update to edge (u, v) can flip a level-k domination
-// pair (w, x) only when the edge is incident to x or w, which confines
-// the directly-affected vertices to the 2-hop neighborhoods of the
-// endpoints (Definition 2's locality, level by level). Layer REASSIGNMENTS
-// can then cascade: x's level-k status reads the S_k membership of x's
-// neighbors, of its candidate dominators (2 hops), and — through the
-// mutual-inclusion tie check — of the candidates' neighbors (3 hops).
-// The maintainer therefore re-peels a dirty region seeded with the
-// union of the endpoints' 2-hop neighborhoods before and after the
-// update, and extends it with the 3-hop neighborhood of every vertex
-// whose layer actually changed, iterating to a fixpoint. The peel's
-// layering is the unique assignment that is locally consistent at
-// every vertex, so when the cascade stops growing the incremental
-// result equals a from-scratch rebuild — the oracle property the test
-// battery checks on random update streams.
+// Locality. Definition 2 reads only N_S(x) and N_S(w), so an op on
+// edge (u, v) can flip a vertex's level-j status only through a pair
+// that involves a hot vertex, one whose level-j row differs between the
+// old state (G, S_j) and the new one (G', S'_j): u and v while the op
+// edge is live, that is, lies in exactly one of G[S_j] and G'[S'_j];
+// every vertex whose membership differs between S_j and S'_j; and
+// those vertices' neighbors. Per op the levels settle in increasing
+// order, because S'_j depends only on the decisions below j. At each
+// level one kernel scan in S'_j re-decides the hot vertices and their
+// witness candidates: N(v) for u and N(u) for v while the edge is live,
+// N[q] for one neighbor q that a hot vertex has in both states, and the
+// 2-hop ball of each vertex that joined or left S_j. Every other vertex
+// keeps its level-j status. The cascade stops at the first level with
+// no hot vertex, from which on the two states' induced subgraphs are
+// equal. Every re-decided vertex then gets its parent witness again,
+// which reaches every parent the op can move: a vertex whose layer
+// moved joins or leaves S_j at every level between its old and new
+// layers, so the 2-hop visits re-decide its dominatees there. DESIGN.md
+// §11 has the completeness argument; the result equals a from-scratch
+// rebuild, the oracle property the test battery checks after every op
+// of random update streams.
 //
-// Typical updates touch a handful of vertices; a pathological update
-// (one that re-layers a hub's whole neighborhood) degrades gracefully
-// toward a full re-peel.
+// An op costs its hot vertices' scans, independent of n; one that moves
+// a hub's layer re-decides the hub's 2-hop ball at each level it spans.
 type Maintainer struct {
 	rows   *dynsky.Rows
 	layer  []int32
 	parent []int32
-	counts []int // per-layer vertex counts (termination bound + stats)
+	counts []int // per-layer vertex counts (NumLayers)
 
-	scratch struct {
-		dirty    []int32
-		inDirty  []bool
-		baseline []int32 // layer value when the vertex entered dirty
-	}
+	// Per-op scratch. flag holds one byte of bits per vertex, and each
+	// bit is cleared through the list that set it.
+	flag   []uint8
+	moved  []move  // vertices whose layer left its pre-op value
+	diff   []int32 // D_j: membership differs between S_j and S'_j
+	hot    []int32 // vertices whose N[q] was visited at this level
+	check  []int32 // this level's re-decisions
+	redone []int32 // vertices whose parent is recomputed
 }
+
+// move records a vertex whose layer changed during an op, with its
+// layer before the op.
+type move struct{ v, old int32 }
+
+// Bits of Maintainer.flag, each set exactly when the vertex is on the
+// list named beside it.
+const (
+	inMoved  uint8 = 1 << iota // moved
+	inDiff                     // diff
+	inHot                      // hot
+	inCheck                    // check
+	inRedone                   // redone
+)
 
 // NewMaintainer builds a maintainer for g, constructing the initial
 // tree from scratch (see Build).
@@ -77,8 +99,7 @@ func NewMaintainerFromTree(g *graph.Graph, t *Tree) *Maintainer {
 	for _, l := range m.layer {
 		m.counts[l]++
 	}
-	m.scratch.inDirty = make([]bool, g.N())
-	m.scratch.baseline = make([]int32, g.N())
+	m.flag = make([]uint8, g.N())
 	return m
 }
 
@@ -117,24 +138,17 @@ func (m *Maintainer) AddEdge(u, v int32) bool {
 	if !m.rows.AddEdge(u, v) {
 		return false
 	}
-	// Insertion only grows rows: the 2-hop region after it contains
-	// the region before it.
-	m.seed(u, v)
-	m.update()
+	m.update(u, v, true)
 	return true
 }
 
 // RemoveEdge deletes the undirected edge (u, v) and re-layers the
 // affected region. Reports whether the edge existed.
 func (m *Maintainer) RemoveEdge(u, v int32) bool {
-	if u == v || !m.rows.Has(u, v) {
+	if !m.rows.RemoveEdge(u, v) {
 		return false
 	}
-	// Deletion only shrinks rows: the 2-hop region before it contains
-	// the region after it.
-	m.seed(u, v)
-	m.rows.RemoveEdge(u, v)
-	m.update()
+	m.update(u, v, false)
 	return true
 }
 
@@ -163,100 +177,166 @@ func (m *Maintainer) ApplyPrefixCtx(ctx context.Context, ops []dynsky.Op) (proce
 	return dynsky.ApplyRun(run, ops, m.AddEdge, m.RemoveEdge)
 }
 
-// enter adds v to the dirty set, recording its current layer as the
-// baseline outside observers last saw.
-func (m *Maintainer) enter(v int32) {
-	if m.scratch.inDirty[v] {
-		return
-	}
-	m.scratch.inDirty[v] = true
-	m.scratch.baseline[v] = m.layer[v]
-	m.scratch.dirty = append(m.scratch.dirty, v)
-}
-
-// seed starts the dirty set of an update to edge (u, v) with u, v and
-// every vertex within two hops of either under the current rows.
-func (m *Maintainer) seed(u, v int32) {
-	m.scratch.dirty = m.scratch.dirty[:0]
-	for _, s := range [2]int32{u, v} {
-		m.enter(s)
-		for _, x := range m.rows.Neighbors(s) {
-			m.enter(x)
-			for _, y := range m.rows.Neighbors(x) {
-				m.enter(y)
-			}
-		}
-	}
-}
-
-// update re-layers the region an edge update can affect: the seeded
-// dirty set (the union of the endpoints' 2-hop neighborhoods before and
-// after the update), then the cascade closure described on Maintainer.
-func (m *Maintainer) update() {
+// update settles the layers and parents after the op on edge (u, v)
+// has reached the rows (see Maintainer). The layer array holds the new
+// state below the current level j, and at level j and deeper it holds
+// the old layers, except that a vertex found dominated at its old layer
+// is unassigned (-1) until a deeper level places it. So core.Level reads
+// S'_j, and the moved list gives S_j.
+func (m *Maintainer) update(u, v int32, add bool) {
 	r := obs.Get()
 	defer r.Start("skytree.update").End()
 
-	for {
-		m.peelLocal(m.scratch.dirty)
-		// Extend with the 3-hop neighborhoods of vertices whose layer
-		// moved off its baseline; those layers are what the predicates
-		// of not-yet-dirty vertices read.
-		grew := false
-		for _, v := range m.scratch.dirty {
-			if m.layer[v] != m.scratch.baseline[v] {
-				m.absorb3Hop(v, &grew)
+	ou, ov := m.layer[u], m.layer[v]
+	var decisions int64
+	for j := int32(0); ; j++ {
+		if int(j) > len(m.layer) {
+			panic("skytree: level cascade failed to settle (invariant violation)")
+		}
+		kn := core.Kernel{G: m.rows, S: core.Level(m.layer, j)}
+		for _, mv := range m.moved {
+			if (mv.old >= j) != kn.S.Contains(mv.v) {
+				m.flag[mv.v] |= inDiff
+				m.diff = append(m.diff, mv.v)
 			}
 		}
-		if !grew {
+		// The op edge is live at level j when both endpoints are in the
+		// level set of the graph that has the edge.
+		live := ou >= j && ov >= j
+		if add {
+			live = kn.S.Contains(u) && kn.S.Contains(v)
+		}
+		if len(m.diff) == 0 && !live {
 			break
 		}
-	}
-	r.Add("skytree.update.dirty", int64(len(m.scratch.dirty)))
-
-	// Parents: every dirty vertex gets its canonical witness
-	// recomputed; vertices outside the closure kept their layer and
-	// their 3-hop layers, so their witnesses are unchanged.
-	for _, v := range m.scratch.dirty {
-		m.parent[v] = parentOf(m.rows, m.layer, v)
-		m.scratch.inDirty[v] = false
-	}
-}
-
-// absorb3Hop marks the 3-hop neighborhood of v dirty; grew is set when
-// any vertex was new.
-func (m *Maintainer) absorb3Hop(v int32, grew *bool) {
-	pre := len(m.scratch.dirty)
-	m.enter(v)
-	for _, a := range m.rows.Neighbors(v) {
-		m.enter(a)
-		for _, b := range m.rows.Neighbors(a) {
-			m.enter(b)
-			for _, c := range m.rows.Neighbors(b) {
-				m.enter(c)
+		if live {
+			for _, e := range [2][2]int32{{u, v}, {v, u}} {
+				m.mark(e[0])
+				m.tie(e[0], e[1], &kn.S)
+				for _, x := range m.rows.Neighbors(e[1]) {
+					m.mark(x)
+				}
 			}
 		}
+		for _, y := range m.diff {
+			m.mark(y)
+			for _, w := range m.rows.Neighbors(y) {
+				m.mark(w)
+				if m.flag[w]&inDiff == 0 && kn.S.Contains(w) {
+					m.tie(w, partner(w, u, v), &kn.S)
+				}
+				for _, x := range m.rows.Neighbors(w) {
+					m.mark(x)
+				}
+			}
+		}
+
+		// Moving between j, -1 and deeper layers keeps a vertex in S'_j,
+		// so the scope stays fixed while the level settles.
+		for _, x := range m.check {
+			m.flag[x] &^= inCheck
+			if !kn.S.Contains(x) {
+				continue
+			}
+			decisions++
+			if m.flag[x]&inRedone == 0 {
+				m.flag[x] |= inRedone
+				m.redone = append(m.redone, x)
+			}
+			l := m.layer[x]
+			if kn.FirstDominator(x) < 0 {
+				if l != j {
+					m.setLayer(x, j)
+				}
+			} else if l == j {
+				m.setLayer(x, -1)
+			}
+		}
+		m.check = m.check[:0]
+		for _, y := range m.diff {
+			m.flag[y] &^= inDiff
+		}
+		m.diff = m.diff[:0]
+		for _, w := range m.hot {
+			m.flag[w] &^= inHot
+		}
+		m.hot = m.hot[:0]
 	}
-	if len(m.scratch.dirty) > pre {
-		*grew = true
+	r.Add("skytree.update.dirty", decisions)
+	for _, mv := range m.moved {
+		m.flag[mv.v] &^= inMoved
 	}
+	m.moved = m.moved[:0]
+
+	// Parents: every re-decided vertex gets its witness again. That
+	// covers each vertex whose dominators at its parent level changed,
+	// or whose dominator there entered or left that layer (see
+	// DESIGN.md §11), so every other parent is unchanged.
+	for _, x := range m.redone {
+		m.parent[x] = parentOf(m.rows, m.layer, x)
+		m.flag[x] &^= inRedone
+	}
+	m.redone = m.redone[:0]
 }
 
-// maxStableLayer returns the deepest layer of any vertex, from the
-// maintained histogram (an upper bound for the peel's termination
-// guard).
-func (m *Maintainer) maxStableLayer() int32 {
-	for k := len(m.counts) - 1; k >= 0; k-- {
-		if m.counts[k] > 0 {
-			return int32(k)
-		}
+// partner returns w's other endpoint on the op edge (u, v), or -1.
+func partner(w, u, v int32) int32 {
+	switch w {
+	case u:
+		return v
+	case v:
+		return u
 	}
 	return -1
 }
 
+// tie marks N[q] for the hot vertex w, once per level, where q is w's
+// minimum-degree neighbor present in both S_j and S'_j (s is S'_j) over
+// an edge other than the op edge (whose other endpoint is p). A w that
+// dominates x by a mutual-inclusion tie in one state has q in N_S[x]
+// there, so that x is in N[q].
+func (m *Maintainer) tie(w, p int32, s *core.Scope) {
+	if m.flag[w]&inHot != 0 {
+		return
+	}
+	m.flag[w] |= inHot
+	m.hot = append(m.hot, w)
+	q, qd := int32(-1), 0
+	for _, y := range m.rows.Neighbors(w) {
+		if y == p || m.flag[y]&inDiff != 0 || !s.Contains(y) {
+			continue
+		}
+		if d := m.rows.Degree(y); q < 0 || d < qd {
+			q, qd = y, d
+		}
+	}
+	if q < 0 {
+		return
+	}
+	m.mark(q)
+	for _, x := range m.rows.Neighbors(q) {
+		m.mark(x)
+	}
+}
+
+// mark adds x to this level's re-decisions.
+func (m *Maintainer) mark(x int32) {
+	if m.flag[x]&inCheck == 0 {
+		m.flag[x] |= inCheck
+		m.check = append(m.check, x)
+	}
+}
+
 // setLayer moves v to layer l (or to the unassigned state, l == -1),
-// maintaining the histogram.
+// recording v's pre-op layer on its first move and maintaining the
+// histogram.
 func (m *Maintainer) setLayer(v, l int32) {
-	if old := m.layer[v]; old >= 0 {
+	old := m.layer[v]
+	if m.flag[v]&inMoved == 0 {
+		m.flag[v] |= inMoved
+		m.moved = append(m.moved, move{v, old})
+	}
+	if old >= 0 {
 		m.counts[old]--
 	}
 	m.layer[v] = l
@@ -268,38 +348,5 @@ func (m *Maintainer) setLayer(v, l int32) {
 	}
 	for len(m.counts) > 0 && m.counts[len(m.counts)-1] == 0 {
 		m.counts = m.counts[:len(m.counts)-1]
-	}
-}
-
-// peelLocal recomputes the layers of the dirty vertices with a
-// level-by-level peel, treating every other vertex's layer as fixed.
-// Unassigned dirty vertices count as members of every remaining set
-// until the round that assigns them — exactly the global peel's view.
-// A vertex the kernel finds undominated in S_k, including one isolated
-// there (KeepIsolated), takes layer k.
-func (m *Maintainer) peelLocal(dirty []int32) {
-	kn := core.Kernel{G: m.rows}
-	for _, v := range dirty {
-		m.setLayer(v, -1) // histogram tolerates -1 via the old>=0 guard
-	}
-	// Bound: once k exceeds every stable layer, only undecided dirty
-	// vertices remain in S_k, and dominance among them is a strict
-	// partial order, so each further round assigns at least one.
-	bound := m.maxStableLayer() + int32(len(dirty)) + 2
-	undecided := append([]int32(nil), dirty...)
-	for k := int32(0); len(undecided) > 0; k++ {
-		if k > bound {
-			panic("skytree: local peel failed to converge (invariant violation)")
-		}
-		kn.S = core.Level(m.layer, k)
-		still := undecided[:0]
-		for _, v := range undecided {
-			if kn.FirstDominator(v) >= 0 {
-				still = append(still, v)
-			} else {
-				m.setLayer(v, k)
-			}
-		}
-		undecided = still
 	}
 }

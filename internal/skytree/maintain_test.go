@@ -92,6 +92,13 @@ func TestStreamStar(t *testing.T) {
 	stream(t, gen.Star(24), 5, streamLen(t)/2, "star")
 }
 
+func TestStreamThreshold(t *testing.T) {
+	// Nested neighborhoods peel into 24 layers, so an op's cascade runs
+	// through many levels, which the other families (at most 4 layers)
+	// never reach.
+	stream(t, gen.RandomThreshold(40, 0.5, 11), 7, streamLen(t), "threshold")
+}
+
 func TestMaintainerAfterRelabel(t *testing.T) {
 	// The oracle must hold on a degree-relabeled snapshot exactly as on
 	// the original — the serving pipeline feeds relabeled CSRs in.

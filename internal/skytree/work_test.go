@@ -46,11 +46,12 @@ func TestSubsetWorkPinned(t *testing.T) {
 	}
 }
 
-// TestCarryDirtyWorkPinned pins the tree maintainer's re-peel work over
-// a fixed op stream: the skytree.update.dirty total, which counts the
-// vertices each op's cascade re-layered. The level predicates decide
-// when the cascade stops, so a change to them that keeps every layer
-// right can still move this total.
+// TestCarryDirtyWorkPinned pins the tree maintainer's work over a fixed
+// op stream: the skytree.update.dirty total, which counts the level
+// re-decisions (one first-dominator scan each) of every op's cascade.
+// The witness rule picks the re-decided vertices and the level
+// predicates decide when the cascade stops, so a change to either that
+// keeps every layer right can still move this total.
 func TestCarryDirtyWorkPinned(t *testing.T) {
 	rec := obs.New()
 	defer obs.Swap(obs.Swap(rec))
@@ -69,7 +70,7 @@ func TestCarryDirtyWorkPinned(t *testing.T) {
 		}
 		applied++
 	}
-	if dirty := rec.Snapshot().Counters["skytree.update.dirty"]; dirty != 38805 {
-		t.Errorf("64 ops re-layered %d dirty vertices, want 38805", dirty)
+	if dirty := rec.Snapshot().Counters["skytree.update.dirty"]; dirty != 1696 {
+		t.Errorf("64 ops made %d level re-decisions, want 1696", dirty)
 	}
 }
