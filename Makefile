@@ -43,10 +43,11 @@ bench-runctl: ## measure cancellation overhead: nocontext vs background vs cance
 	$(GO) test -run '^$$' -bench 'RunctlOverhead' -benchtime 3x .
 	$(GO) test -run '^$$' -bench 'CheckpointTick' ./internal/runctl/
 
-fuzz-smoke: ## short fuzz runs on every fuzz target: graph readers, shard partitioner, skyline oracle, dominance kernel, serving API, WAL replay, dynamic and layered-index maintainers (one -fuzz target per invocation)
+fuzz-smoke: ## short fuzz runs on every fuzz target: graph readers, shard partitioner, CSR patching, skyline oracle, dominance kernel, serving API, WAL replay, dynamic and layered-index maintainers (one -fuzz target per invocation)
 	$(GO) test -run '^$$' -fuzz 'FuzzReadEdgeList' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz 'FuzzReadBinary' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz 'FuzzPartitionShards' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz 'FuzzPatch' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz 'FuzzSkylineOracle' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz 'FuzzDominanceKernel' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz 'FuzzServeRequest' -fuzztime 10s ./internal/serve/

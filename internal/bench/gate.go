@@ -65,12 +65,14 @@ func RunGateJSON(w io.Writer, cfg GateConfig) error {
 		}
 	}
 	// The status carry of batch swaps without an index, as the daemon
-	// runs a lineage of them: 16 swaps, each Seeded from the O array the
-	// one before it published, then ApplyPrefixCtx and Graph. Each swap
-	// inserts four random non-edges and deletes them again, so every
-	// swap and every round starts from g's edge set. One carry alone
-	// takes ~0.3 ms, and its best-of-5 ratio spread 2x between gate
-	// runs; sixteen in a row spread about 20%.
+	// runs a lineage of them: statusCarries swaps, each Seeded from the
+	// O array the one before it published, then ApplyPrefixCtx, Graph
+	// and Dominators. Each swap inserts four random non-edges and
+	// deletes them again, so every swap and every round starts from g's
+	// edge set. One carry copies only the blocks and pages it touches
+	// and takes ~0.1 ms, far too short to time alone; the chain keeps
+	// the row above 5 ms.
+	const statusCarries, treeCarries = 64, 16
 	dom := dynsky.New(g).Dominators()
 	var carry []dynsky.Op
 	for len(carry) < 4 {
@@ -105,19 +107,20 @@ func RunGateJSON(w io.Writer, cfg GateConfig) error {
 		}},
 		{"StatusCarry-8ops", "powerlaw-20k", g.N(), g.M(), func() {
 			cur, d := g, dom
-			for i := 0; i < 16; i++ {
+			for i := 0; i < statusCarries; i++ {
 				m := dynsky.Seeded(cur, d)
 				_, _, _ = m.ApplyPrefixCtx(ctx, carry)
 				cur, d = m.Graph(), m.Dominators()
 			}
 		}},
-		// The tree carry of batch swaps with an index: 16 in a row, each
-		// from the graph and tree the one before it published, over the
-		// same 8 ops. One carry takes ~0.7 ms, too short to time alone
-		// (see StatusCarry-8ops).
+		// The tree carry of batch swaps with an index: treeCarries in a
+		// row, each from the graph and tree the one before it published,
+		// over the same 8 ops, whose random endpoints reach hubs. One
+		// carry takes ~0.7 ms, too short to time alone (see
+		// StatusCarry-8ops).
 		{"TreeCarry-8ops", "powerlaw-20k", g.N(), g.M(), func() {
 			cur, t := g, tree
-			for i := 0; i < 16; i++ {
+			for i := 0; i < treeCarries; i++ {
 				m := skytree.NewMaintainerFromTree(cur, t)
 				_, _, _ = m.ApplyPrefixCtx(ctx, carry)
 				cur, t = m.Graph(), m.Tree()

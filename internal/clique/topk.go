@@ -144,6 +144,14 @@ func NeiSkyTopkMCCWithSkyline(g *graph.Graph, k int, sky *core.Result) *TopKResu
 	return neiSkyTopkRun(nil, g, k, sky)
 }
 
+// NeiSkyTopkMCCWithSkylineCtx is NeiSkyTopkMCCWithSkyline under a
+// context, with NeiSkyTopkMCCCtx's anytime contract.
+func NeiSkyTopkMCCWithSkylineCtx(ctx context.Context, g *graph.Graph, k int, sky *core.Result) *TopKResult {
+	run := runctl.FromContext(ctx)
+	defer run.Release()
+	return neiSkyTopkRun(run, g, k, sky)
+}
+
 func neiSkyTopkRun(run *runctl.Run, g *graph.Graph, k int, sky *core.Result) *TopKResult {
 	res := &TopKResult{}
 	if k == 1 {

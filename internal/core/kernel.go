@@ -1,6 +1,10 @@
 package core
 
-import "slices"
+import (
+	"slices"
+
+	"neisky/internal/paged"
+)
 
 // The dominance kernel decides Definition 2 inside an induced subgraph
 // G[S] by the refine phase's pivot scan: Definition 2 reads only N(x)
@@ -25,15 +29,17 @@ type Adj interface {
 // graph; Level and Subset make the other two. Membership is read from
 // plain arrays inline in the kernel's loops, never through a call.
 type Scope struct {
-	layer []int32 // Level: w ∈ S iff layer[w] < 0 || layer[w] >= k
+	layer []*paged.Page[int32] // Level: w ∈ S iff layer(w) < 0 || layer(w) >= k
 	k     int32
 	in    []bool // Subset: w ∈ S iff in[w]
 }
 
 // Level returns the level S_k of a layered peel: the vertices whose
-// layer is at least k or not yet assigned (negative). layer is read,
-// not copied, so later writes to it move the scope.
-func Level(layer []int32, k int32) Scope { return Scope{layer: layer, k: k} }
+// layer is at least k or not yet assigned (negative). The layer pages
+// are read in place, not copied, so later writes through layer move
+// the scope; every page must be allocated (a peel assigns every
+// vertex).
+func Level(layer *paged.Array[int32], k int32) Scope { return Scope{layer: layer.Pages(), k: k} }
 
 // Subset returns the query scope Q = {w : in[w]}. in is read, not
 // copied.
@@ -45,12 +51,13 @@ func (s *Scope) Contains(w int32) bool { return member(s.layer, s.k, s.in, w) }
 // member is Contains on a Scope's fields. The kernel's loops hold them
 // in locals, where they stay in registers; a Scope value is too large
 // for that and would be copied to the stack per element.
-func member(layer []int32, k int32, in []bool, w int32) bool {
+func member(layer []*paged.Page[int32], k int32, in []bool, w int32) bool {
 	switch {
 	case in != nil:
 		return in[w]
 	case layer != nil:
-		return layer[w] < 0 || layer[w] >= k
+		l := layer[w>>paged.PageBits][w&(paged.PageSize-1)]
+		return l < 0 || l >= k
 	}
 	return true
 }
@@ -184,7 +191,7 @@ func (kn *Kernel) SmallestDominator(x int32) int32 {
 // candidate reports whether SmallestDominator may return w.
 func (kn *Kernel) candidate(w int32) bool {
 	if kn.S.layer != nil {
-		return kn.S.layer[w] == kn.S.k
+		return kn.S.layer[w>>paged.PageBits][w&(paged.PageSize-1)] == kn.S.k
 	}
 	return kn.S.Contains(w)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"neisky/internal/graph"
+	"neisky/internal/paged"
 )
 
 // FuzzDominanceKernel decodes a graph on at most 24 vertices and a
@@ -51,7 +52,8 @@ func FuzzDominanceKernel(f *testing.F) {
 			for i := range layer {
 				layer[i] = int32(bytesFor(i)%5) - 1
 			}
-			s = Level(layer, k)
+			pages := paged.From(layer)
+			s = Level(&pages, k)
 			inS = func(v int32) bool { return layer[v] < 0 || layer[v] >= k }
 		case 2:
 			in := make([]bool, n)

@@ -28,29 +28,114 @@
 //
 // The same locality fixes the representation. Rows keeps the immutable
 // CSR it was seeded with and gives a vertex a private sorted row only
-// when an update touches it; its Graph merges the private rows into a
-// fresh CSR, bulk-copying the untouched ranges. Rows is the one
-// representation of mutable graph state: the Maintainer here is Rows
-// plus the O array, internal/skytree's maintainer is Rows plus layers,
-// WAL recovery uses Rows alone, and all three apply batches through
-// ApplyRun. New seeds a Maintainer with one sharded skyline run over
-// the CSR plus the smallest-ID scan of the dominated vertices; Seeded
-// continues from a predecessor's Dominators instead, which costs a
-// copy of n int32s, not a skyline run. A batch costs O(degree) per
-// patched row plus each op's scans and pair tests, independent of n,
-// and neither seeding nor a batch allocates per vertex.
+// when an update touches it; its Graph patches the private rows into a
+// new CSR that shares every untouched block with the current one. Rows
+// is the one representation of mutable graph state: the Maintainer
+// here is Rows plus the O array, internal/skytree's maintainer is Rows
+// plus layers, WAL recovery uses Rows alone, and all three apply
+// batches through ApplyRun. The O array is a copy-on-write paged array
+// (internal/paged) published with its skyline size as a Dominators
+// value. New seeds a Maintainer with one sharded skyline run over the
+// CSR plus Canonical's smallest-ID scan of the dominated vertices;
+// Seeded continues from a predecessor's Dominators instead and shares
+// its pages, so a carried maintainer copies only the pages its ops
+// write, not n entries. A batch costs O(degree) per patched row plus
+// each op's scans and pair tests, and seeding, a batch and publishing
+// allocate page tables and touched pages, never per vertex.
 package dynsky
 
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"neisky/internal/core"
 	"neisky/internal/graph"
 	"neisky/internal/obs"
+	"neisky/internal/paged"
 	"neisky/internal/runctl"
 )
+
+// Dominators is one graph's canonical O array with its skyline size
+// |R|: the value a Maintainer publishes (Maintainer.Dominators), Seeded
+// continues from, and Canonical builds. It is immutable and safe for
+// concurrent use; the epochs of one lineage share its unchanged pages.
+// The zero value holds no graph.
+type Dominators struct {
+	o    paged.Array[int32]
+	size int
+}
+
+// N returns the vertex count (0 for the zero value).
+func (d *Dominators) N() int { return d.o.Len() }
+
+// Of returns x's entry: x itself when x is in the skyline, and
+// otherwise x's smallest-ID dominator.
+func (d *Dominators) Of(x int32) int32 { return d.o.Get(x) }
+
+// SkylineSize returns |R|.
+func (d *Dominators) SkylineSize() int { return d.size }
+
+// Skyline materializes the skyline in increasing ID order: O(n).
+func (d *Dominators) Skyline() []int32 { return skyline(&d.o, d.size) }
+
+// skyline lists the x with o(x) == x; size is their number.
+func skyline(o *paged.Array[int32], size int) []int32 {
+	out := make([]int32, 0, size)
+	for p, pg := range o.Pages() {
+		for i, w := range pg {
+			if v := int32(p<<paged.PageBits + i); v < int32(o.Len()) && w == v {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// Slice returns a flat copy of the array, in core.Result.Dominator's
+// convention.
+func (d *Dominators) Slice() []int32 { return d.o.Slice() }
+
+// Canonical turns dom, an O array of g in core.Result.Dominator's
+// convention, into g's canonical one: dom[x] == x must hold exactly for
+// the skyline's non-isolated vertices, and every other entry is a
+// dominator of x or negative (not known). Isolated vertices get the
+// closed form and every other dominated vertex one whole-graph
+// SmallestDominator scan; dom is rewritten in place and then copied
+// into pages. When dom marks a superset of the skyline (a truncated
+// engine run), the result marks the same superset. A stop of ctx's run
+// between scans returns the cause: the entries not yet rewritten keep
+// their dominators, and a negative one becomes x (not yet proven
+// dominated), so the array still names only valid dominators and its
+// skyline is a sound superset.
+func Canonical(ctx context.Context, g *graph.Graph, dom []int32) (Dominators, error) {
+	if len(dom) != g.N() {
+		panic(fmt.Sprintf("dynsky: O array of %d vertices for a graph of %d", len(dom), g.N()))
+	}
+	run := runctl.FromContext(ctx)
+	defer run.Release()
+	cp := run.Checkpoint(64)
+	kn := core.Kernel{G: g}
+	var err error
+	size := 0
+	for x := range dom {
+		x := int32(x)
+		isolated := g.Degree(x) == 0
+		if err == nil && (isolated || dom[x] != x) {
+			if !isolated && cp.Tick() {
+				err = run.Err()
+			} else {
+				dom[x] = decide(&kn, g.N(), x)
+			}
+		}
+		if dom[x] < 0 { // not reached before the run stopped
+			dom[x] = x
+		}
+		if dom[x] == x {
+			size++
+		}
+	}
+	return Dominators{o: paged.From(dom), size: size}, err
+}
 
 // Maintainer holds a mutable graph and its canonical O array. The
 // vertex count is fixed at construction.
@@ -60,15 +145,16 @@ import (
 // graph alive until then.
 type Maintainer struct {
 	rows    *Rows
-	kn      core.Kernel // dominance on the whole graph of rows
-	dom     []int32     // the canonical O array; dom[x] == x iff x ∈ R
+	kn      core.Kernel        // dominance on the whole graph of rows
+	dom     paged.Array[int32] // the canonical O array; dom(x) == x iff x ∈ R
 	skySize int
 }
 
 // New builds a Maintainer seeded from g: one sharded skyline run
-// decides which vertices are dominated, and a smallest-ID pivot scan
-// of each dominated vertex makes the O array canonical. A caller that
-// holds g's canonical array already seeds with Seeded instead.
+// decides which vertices are dominated, and Canonical's smallest-ID
+// pivot scan of each dominated vertex makes the O array canonical. A
+// caller that holds g's canonical array already seeds with Seeded
+// instead.
 func New(g *graph.Graph) *Maintainer {
 	res := core.ShardedFilterRefineSky(g, core.Options{}, core.ShardOptions{})
 	if res.Truncated {
@@ -76,38 +162,23 @@ func New(g *graph.Graph) *Maintainer {
 		panic(fmt.Sprintf("dynsky: seeding skyline run stopped early: %v", res.Err))
 	}
 	// The engine's array is fresh and holds some dominator of each
-	// dominated vertex; replace those with the smallest.
-	m := newMaintainer(g, res.Dominator)
-	m.skySize = len(res.Skyline)
-	for x, w := range m.dom {
-		if x := int32(x); w != x {
-			m.dom[x] = m.decide(x)
-		}
-	}
-	return m
+	// dominated vertex; Canonical replaces those with the smallest.
+	d, _ := Canonical(context.Background(), g, res.Dominator)
+	return Seeded(g, d)
 }
 
-// Seeded builds a Maintainer over g from g's canonical O array (as
-// Dominators returns it), which it copies: O(n), with no skyline run.
-// A wrong array is not detected, and every later answer inherits it.
-func Seeded(g *graph.Graph, dominators []int32) *Maintainer {
-	if len(dominators) != g.N() {
-		panic(fmt.Sprintf("dynsky: O array of %d vertices for a graph of %d", len(dominators), g.N()))
+// Seeded builds a Maintainer over g that continues from d, g's
+// canonical O array (as Dominators or Canonical returns it). The
+// maintainer shares d's pages and copies one only when an op writes
+// it, and it takes |R| from d: the cost is a page table, not n entries
+// or a skyline run. A wrong array is not detected, and every later
+// answer inherits it.
+func Seeded(g *graph.Graph, d Dominators) *Maintainer {
+	if d.N() != g.N() {
+		panic(fmt.Sprintf("dynsky: O array of %d vertices for a graph of %d", d.N(), g.N()))
 	}
-	m := newMaintainer(g, slices.Clone(dominators))
-	for x, w := range dominators {
-		if w == int32(x) {
-			m.skySize++
-		}
-	}
-	return m
-}
-
-// newMaintainer puts rows over g beside the O array dom, which it
-// takes over; the caller sets skySize.
-func newMaintainer(g *graph.Graph, dom []int32) *Maintainer {
 	rows := NewRows(g)
-	return &Maintainer{rows: rows, kn: core.Kernel{G: rows}, dom: dom}
+	return &Maintainer{rows: rows, kn: core.Kernel{G: rows}, dom: d.o.Fork(), skySize: d.size}
 }
 
 // NewEmpty builds a Maintainer for an edgeless graph on n vertices.
@@ -133,30 +204,24 @@ func (m *Maintainer) Degree(u int32) int { return m.rows.Degree(u) }
 func (m *Maintainer) Has(u, v int32) bool { return m.rows.Has(u, v) }
 
 // InSkyline reports whether v is currently in the skyline.
-func (m *Maintainer) InSkyline(v int32) bool { return m.dom[v] == v }
+func (m *Maintainer) InSkyline(v int32) bool { return m.dom.Get(v) == v }
 
 // SkylineSize returns |R| without materializing the set.
 func (m *Maintainer) SkylineSize() int { return m.skySize }
 
-// Dominators returns the current canonical O array in
-// core.Result.Dominator's convention: out[x] == x exactly when x is in
-// the skyline, and otherwise out[x] is x's smallest-ID dominator, for
-// isolated vertices too — the array core.BruteForce returns for the
-// graph Graph returns, and the input Seeded takes. The slice is the
-// maintainer's own: later updates change it in place, and callers must
-// not modify it.
-func (m *Maintainer) Dominators() []int32 { return m.dom }
+// Dominators publishes the current canonical O array with |R|: for
+// every x, Of(x) == x exactly when x is in the skyline, and otherwise
+// Of(x) is x's smallest-ID dominator, for isolated vertices too — the
+// array core.BruteForce returns for the graph Graph returns, and the
+// input Seeded takes. The value shares the maintainer's pages, and
+// later updates copy a page before they write it, so the value never
+// changes.
+func (m *Maintainer) Dominators() Dominators {
+	return Dominators{o: m.dom.Fork(), size: m.skySize}
+}
 
 // Skyline materializes the current skyline in increasing ID order.
-func (m *Maintainer) Skyline() []int32 {
-	out := make([]int32, 0, m.skySize)
-	for v, w := range m.dom {
-		if w == int32(v) {
-			out = append(out, w)
-		}
-	}
-	return out
-}
+func (m *Maintainer) Skyline() []int32 { return skyline(&m.dom, m.skySize) }
 
 // Graph snapshots the current adjacency as an immutable CSR graph (see
 // Rows.Graph); the maintainer then no longer reads the graph it was
@@ -205,7 +270,7 @@ func (m *Maintainer) settle(u, v, pu, pv int32, add bool) {
 		if x == u || x == v {
 			return
 		}
-		switch o := m.dom[x]; {
+		switch o := m.dom.Get(x); {
 		case add && (o == x || w < o):
 			pairs++
 			if m.kn.Dominates(w, x) {
@@ -246,20 +311,28 @@ func (m *Maintainer) settle(u, v, pu, pv int32, add bool) {
 
 // set records w as x's O entry and keeps the skyline size in step.
 func (m *Maintainer) set(x, w int32) {
-	switch old := m.dom[x]; {
-	case old == x && w != x:
+	old := m.dom.Get(x)
+	if old == w {
+		return
+	}
+	switch {
+	case old == x:
 		m.skySize--
-	case old != x && w == x:
+	case w == x:
 		m.skySize++
 	}
-	m.dom[x] = w
+	m.dom.Set(x, w)
 }
 
 // decide evaluates x's canonical O entry from scratch on the current
 // adjacency.
-func (m *Maintainer) decide(x int32) int32 {
-	if m.Degree(x) > 0 {
-		if w := m.kn.SmallestDominator(x); w >= 0 {
+func (m *Maintainer) decide(x int32) int32 { return decide(&m.kn, m.N(), x) }
+
+// decide evaluates x's canonical O entry on kn's whole graph of n
+// vertices.
+func decide(kn *core.Kernel, n int, x int32) int32 {
+	if kn.G.Degree(x) > 0 {
+		if w := kn.SmallestDominator(x); w >= 0 {
 			return w
 		}
 		return x
@@ -270,8 +343,8 @@ func (m *Maintainer) decide(x int32) int32 {
 	if x > 0 {
 		return 0
 	}
-	for w := int32(1); w < int32(m.N()); w++ {
-		if m.Degree(w) > 0 {
+	for w := int32(1); w < int32(n); w++ {
+		if kn.G.Degree(w) > 0 {
 			return w
 		}
 	}

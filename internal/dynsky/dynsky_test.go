@@ -145,7 +145,8 @@ func TestDominatorsValid(t *testing.T) {
 	valid := func(label string) {
 		t.Helper()
 		g := m.Graph()
-		doms := m.Dominators()
+		d := m.Dominators()
+		doms := d.Slice()
 		if len(doms) != n {
 			t.Fatalf("%s: %d entries for %d vertices", label, len(doms), n)
 		}

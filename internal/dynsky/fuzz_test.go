@@ -18,7 +18,9 @@ import (
 // maintainer must agree with a test-local edge set, and its O array
 // with the brute-force oracle's, isolated vertices included; every
 // snapshot must be a valid CSR of exactly that edge set and never the
-// graph the maintainer was seeded or last rebased on.
+// graph the maintainer was seeded or last rebased on. Every array a
+// carry published must still read as it did when published at the end
+// of the stream, whatever the later ops wrote to the pages it shares.
 func FuzzMaintainerOps(f *testing.F) {
 	f.Add([]byte{5, 2, 0, 1, 1, 2, 0, 0, 2, 2, 0, 0, 1, 0, 1, 2, 0, 0})
 	f.Add([]byte{8, 0, 0, 0, 1, 0, 1, 2, 2, 0, 0, 1, 0, 1, 1, 2, 0, 0, 0, 3, 4, 2, 0, 0})
@@ -53,6 +55,11 @@ func FuzzMaintainerOps(f *testing.F) {
 		}
 		prev := b.Build()
 		m := New(prev)
+		type published struct {
+			d    Dominators
+			flat []int32
+		}
+		var carried []published
 		for ; len(rest) >= 3; rest = rest[3:] {
 			k, u, v := rest[0]%3, int32(rest[1])%n, int32(rest[2])%n
 			switch k {
@@ -77,7 +84,9 @@ func FuzzMaintainerOps(f *testing.F) {
 				}
 				checkCSR(t, g, edges)
 				prev = g
-				m = Seeded(g, m.Dominators())
+				d := m.Dominators()
+				carried = append(carried, published{d, d.Slice()})
+				m = Seeded(g, d)
 			}
 			if m.M() != len(edges) {
 				t.Fatalf("M() = %d, edge set has %d", m.M(), len(edges))
@@ -87,7 +96,8 @@ func FuzzMaintainerOps(f *testing.F) {
 				list = append(list, e)
 			}
 			want := core.BruteForce(graph.FromEdges(int(n), list))
-			if got := m.Dominators(); !slices.Equal(got, want.Dominator) {
+			d := m.Dominators()
+			if got := d.Slice(); !slices.Equal(got, want.Dominator) || d.SkylineSize() != len(want.Skyline) {
 				t.Fatalf("O array %v, oracle %v on edges %v", got, want.Dominator, list)
 			}
 			if got := m.Skyline(); !core.EqualSkylines(got, want.Skyline) || m.SkylineSize() != len(want.Skyline) {
@@ -95,6 +105,11 @@ func FuzzMaintainerOps(f *testing.F) {
 			}
 		}
 		checkCSR(t, m.Graph(), edges)
+		for i, p := range carried {
+			if !slices.Equal(p.d.Slice(), p.flat) {
+				t.Fatalf("carried array %d changed after it was published", i)
+			}
+		}
 	})
 }
 

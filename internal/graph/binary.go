@@ -130,13 +130,55 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 			return err
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.adj); err != nil {
+	if err := g.writeCSR(bw, nil); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// writeCSR writes the flat CSR arrays in little-endian int32, block by
+// block: the n+1 offsets, then between (when non-nil), then the
+// adjacency rows in vertex order. The bytes are those of one flat
+// offsets and adjacency array, whatever blocks the graph shares.
+func (g *Graph) writeCSR(w io.Writer, between func() error) error {
+	var buf [4 * blockSize]byte
+	put := func(vals []int32) error {
+		for len(vals) > 0 {
+			c := min(len(vals), blockSize)
+			for i, v := range vals[:c] {
+				binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+			}
+			if _, err := w.Write(buf[:4*c]); err != nil {
+				return err
+			}
+			vals = vals[c:]
+		}
+		return nil
+	}
+	var offs [blockSize]int32
+	for k, b := range g.blocks {
+		c := min(blockSize, g.n-k<<blockBits)
+		for i := range offs[:c] {
+			offs[i] = g.base[k] + b.off[i] - b.off[0]
+		}
+		if err := put(offs[:c]); err != nil {
+			return err
+		}
+	}
+	if err := put(g.base[len(g.blocks):]); err != nil {
+		return err
+	}
+	if between != nil {
+		if err := between(); err != nil {
+			return err
+		}
+	}
+	for _, b := range g.blocks {
+		if err := put(b.adj[b.off[0]:b.off[blockSize]]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // binary2Header is the fixed-size v2 header in file order.
@@ -172,14 +214,12 @@ func (g *Graph) WriteBinary2(w io.Writer, flags uint64) error {
 		return err
 	}
 	cw := &crcWriter{w: bw}
-	if err := binary.Write(cw, binary.LittleEndian, g.offsets); err != nil {
+	err := g.writeCSR(cw, func() error {
+		var pad [8]byte
+		_, err := cw.Write(pad[:binary2Padding(g.N())])
 		return err
-	}
-	var pad [8]byte
-	if _, err := cw.Write(pad[:binary2Padding(g.N())]); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, g.adj); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	var ftr [binary2FooterSize]byte
@@ -322,7 +362,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err := validateCSR(offsets, adj, n, m); err != nil {
 		return nil, err
 	}
-	g := (&Graph{offsets: offsets, adj: adj, m: m}).finish()
+	g := fromCSR(offsets, adj, m)
 	if err := checkSymmetric(g); err != nil {
 		return nil, err
 	}

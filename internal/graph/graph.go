@@ -1,10 +1,18 @@
 // Package graph implements the compact undirected graph representation
 // shared by every algorithm in this repository.
 //
-// Graphs are stored in CSR (compressed sparse row) form: a single offsets
-// array of length n+1 and a single adjacency array of length 2m. Adjacency
-// lists are sorted by vertex ID, which the skyline algorithms exploit for
-// early-exit subset tests and which makes Has(u,v) a binary search.
+// Graphs are stored in a blocked CSR (compressed sparse row) form. The
+// vertices are split into fixed blocks of blockSize = 512, and each
+// block holds a pointer to its 513 offsets and an adjacency slice:
+// vertex u's row is the block's adjacency between offsets u&511 and
+// (u&511)+1. A built or loaded graph's blocks all index its one
+// offsets array and its one adjacency array of length 2m, so it is one
+// flat CSR read through a small block table. Patch gives each epoch of
+// a changing graph a new block table that shares every block without a
+// touched vertex, so a batch swap copies the blocks it touches, not the
+// graph. Adjacency lists are sorted by vertex ID, which the skyline
+// algorithms exploit for early-exit subset tests and which makes
+// Has(u,v) a binary search.
 //
 // Vertices are dense integers 0..n-1. The builder deduplicates parallel
 // edges and drops self-loops, so every Graph is a simple graph.
@@ -15,23 +23,55 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"neisky/internal/paged"
 	"neisky/internal/sketch"
 )
 
-// Graph is an immutable undirected simple graph in CSR form.
-type Graph struct {
-	offsets []int32 // len n+1
-	adj     []int32 // len 2m, sorted within each vertex's window
-	m       int     // number of undirected edges
+// Blocks of the CSR: vertex u lives in block u>>blockBits at local
+// index u&blockMask. A row read costs one block-table load beside the
+// flat layout's two offset loads; DESIGN.md §9 has the measured cost
+// and why 512 (a patch rebuilds a touched block, and the table grows
+// as n/512).
+const (
+	blockBits = 9
+	blockSize = 1 << blockBits
+	blockMask = blockSize - 1
+)
 
-	maxDeg  int   // memoized at build time
-	degHist []int // memoized: degHist[d] = #vertices of degree d
+// block holds the rows of the vertices k·blockSize+i, i < blockSize:
+// row i is adj[off[i]:off[i+1]]. Entries past the graph's last vertex
+// repeat the block's end offset, so they read as empty rows. Blocks are
+// immutable and shared between the graphs Patch derives.
+type block struct {
+	off *[blockSize + 1]int32
+	adj []int32
+}
+
+// Graph is an immutable undirected simple graph in blocked CSR form.
+type Graph struct {
+	n      int
+	blocks []block
+	// base[k] is the number of adjacency entries before block k (the
+	// flat CSR's offsets[k·blockSize]), and base[len(blocks)] = 2m.
+	base []int32
+	m    int // number of undirected edges
+	// borrowed marks rows that alias storage the graph does not own (an
+	// mmap); Patch copies such a graph whole instead of sharing blocks.
+	borrowed bool
+
+	// The degree summaries, memoized at build time and patched by
+	// Patch. hist(d) counts the vertices of degree d; its pages past
+	// the occupied degrees are nil, so a patch copies the page table
+	// and the pages of the degrees it moves, not the histogram.
+	maxDeg int
+	hist   paged.Array[int32]
 
 	hub     atomic.Pointer[HubIndex] // lazily built hub-bitmap index
 	hubOnce sync.Once
@@ -42,21 +82,67 @@ type Graph struct {
 	degSortOnce sync.Once
 }
 
+// fromCSR builds a graph over the flat CSR arrays offsets (length n+1)
+// and adj (length 2m), which it reads in place (see blocked), and
+// computes its degree summaries.
+func fromCSR(offsets, adj []int32, m int) *Graph { return blocked(offsets, adj, m).finish() }
+
+// blocked returns the block table over flat CSR arrays: every full
+// block's offsets are a window of offsets, and only a partial last
+// block gets its own copy. The caller fills the degree summaries.
+func blocked(offsets, adj []int32, m int) *Graph {
+	n := len(offsets) - 1
+	nb := (n + blockMask) >> blockBits
+	g := &Graph{n: n, blocks: make([]block, nb), base: make([]int32, nb+1), m: m}
+	for k := range g.blocks {
+		lo := k << blockBits
+		var off *[blockSize + 1]int32
+		if lo+blockSize+1 <= len(offsets) {
+			off = (*[blockSize + 1]int32)(offsets[lo : lo+blockSize+1])
+		} else {
+			off = new([blockSize + 1]int32)
+			for i := copy(off[:], offsets[lo:]); i <= blockSize; i++ {
+				off[i] = offsets[n]
+			}
+		}
+		g.blocks[k] = block{off: off, adj: adj}
+		g.base[k] = offsets[lo]
+	}
+	g.base[nb] = offsets[n]
+	return g
+}
+
 // N returns the number of vertices.
-func (g *Graph) N() int { return len(g.offsets) - 1 }
+func (g *Graph) N() int { return g.n }
 
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
 
 // Degree returns the degree of vertex u.
 func (g *Graph) Degree(u int32) int {
-	return int(g.offsets[u+1] - g.offsets[u])
+	off := g.blocks[u>>blockBits].off
+	i := u & blockMask
+	return int(off[i+1] - off[i])
 }
 
 // Neighbors returns the sorted adjacency list of u. The returned slice
-// aliases the graph's storage and must not be modified.
+// aliases the graph's storage, which later epochs may share, and must
+// not be modified.
 func (g *Graph) Neighbors(u int32) []int32 {
-	return g.adj[g.offsets[u]:g.offsets[u+1]]
+	b := &g.blocks[u>>blockBits]
+	i := u & blockMask
+	return b.adj[b.off[i]:b.off[i+1]]
+}
+
+// offset returns the flat CSR offset of v (0 ≤ v ≤ n): the number of
+// adjacency entries of the vertices before v.
+func (g *Graph) offset(v int32) int32 {
+	k := v >> blockBits
+	if int(k) == len(g.blocks) {
+		return g.base[k]
+	}
+	off := g.blocks[k].off
+	return g.base[k] + off[v&blockMask] - off[0]
 }
 
 // linearScanMax is the adjacency length below which Has scans linearly:
@@ -109,18 +195,13 @@ func searchSorted(nbrs []int32, v int32) bool {
 // finish computes the memoized degree summaries. Every constructor of a
 // Graph must call it exactly once before publishing the value.
 func (g *Graph) finish() *Graph {
-	max := 0
+	hist := paged.New[int32](max(g.N(), 1))
 	for u := int32(0); u < int32(g.N()); u++ {
-		if d := g.Degree(u); d > max {
-			max = d
-		}
+		d := g.Degree(u)
+		hist.Set(int32(d), hist.Get(int32(d))+1)
+		g.maxDeg = max(g.maxDeg, d)
 	}
-	g.maxDeg = max
-	hist := make([]int, max+1)
-	for u := int32(0); u < int32(g.N()); u++ {
-		hist[g.Degree(u)]++
-	}
-	g.degHist = hist
+	g.hist = hist.Fork() // owns no page, so patched graphs may share them
 	return g
 }
 
@@ -128,10 +209,18 @@ func (g *Graph) finish() *Graph {
 // graph). Memoized at CSR build time; O(1).
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
-// DegreeHist returns the build-time degree histogram: hist[d] counts the
-// vertices of degree d. The returned slice is shared and must not be
-// modified.
-func (g *Graph) DegreeHist() []int { return g.degHist }
+// DegreeHist returns the degree histogram: hist[d] counts the vertices
+// of degree d, for d ≤ MaxDegree. It is a fresh copy, O(MaxDegree).
+func (g *Graph) DegreeHist() []int {
+	out := make([]int, g.maxDeg+1)
+	for d := range out {
+		out[d] = int(g.hist.Get(int32(d)))
+	}
+	return out
+}
+
+// Isolated returns the number of vertices of degree 0; O(1).
+func (g *Graph) Isolated() int { return int(g.hist.Get(0)) }
 
 // Edges calls fn once for every undirected edge with u < v.
 func (g *Graph) Edges(fn func(u, v int32)) {
@@ -241,13 +330,12 @@ func (b *Builder) Build() *Graph {
 		adj[cursor[e[1]]] = e[0]
 		cursor[e[1]]++
 	}
-	g := &Graph{offsets: offsets, adj: adj, m: len(uniq)}
 	// Each vertex's window is already grouped; sort within windows.
 	for u := 0; u < n; u++ {
 		w := adj[offsets[u]:offsets[u+1]]
 		sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
 	}
-	return g.finish()
+	return fromCSR(offsets, adj, len(uniq))
 }
 
 // Patch returns a new graph on g's vertex set in which each vertex us[i]
@@ -255,33 +343,85 @@ func (b *Builder) Build() *Graph {
 // from g; m is the new edge count. us must be ascending, every row
 // sorted, and the result symmetric — the caller (an incremental
 // maintainer that edited both endpoints of each changed edge) vouches
-// for it. Untouched vertex ranges are bulk-copied, and the result never
-// shares storage with g.
+// for it. The result shares every block without a touched vertex with
+// g and rebuilds only the touched blocks, and its degree summaries are
+// g's, patched at the touched vertices: the cost is the block table
+// plus the touched blocks, not n. A graph whose storage is borrowed (an
+// mmap) is first copied whole, so no patched graph outlives the mapping.
+// The result is never g.
 func (g *Graph) Patch(us []int32, rows [][]int32, m int) *Graph {
-	n := int32(g.N())
-	size := len(g.adj)
+	if g.borrowed {
+		g = g.heapCopy()
+	}
+	h := &Graph{n: g.n, blocks: slices.Clone(g.blocks), base: make([]int32, len(g.blocks)+1), m: m,
+		maxDeg: g.maxDeg, hist: g.hist.Fork()}
+	for i := 0; i < len(us); {
+		k := us[i] >> blockBits
+		j := i + 1
+		for j < len(us) && us[j]>>blockBits == k {
+			j++
+		}
+		h.blocks[k] = g.patchBlock(k, us[i:j], rows[i:j])
+		for x, u := range us[i:j] {
+			old, d := int32(g.Degree(u)), int32(len(rows[i+x]))
+			h.hist.Set(old, h.hist.Get(old)-1)
+			h.hist.Set(d, h.hist.Get(d)+1)
+			h.maxDeg = max(h.maxDeg, int(d))
+		}
+		i = j
+	}
+	for h.maxDeg > 0 && h.hist.Get(int32(h.maxDeg)) == 0 {
+		h.maxDeg--
+	}
+	h.hist = h.hist.Fork()
+	for k, b := range h.blocks {
+		h.base[k+1] = h.base[k] + b.off[blockSize] - b.off[0]
+	}
+	return h
+}
+
+// patchBlock rebuilds block k with the rows of its vertices us
+// (ascending) replaced by rows, bulk-copying the untouched ranges.
+func (g *Graph) patchBlock(k int32, us []int32, rows [][]int32) block {
+	old := g.blocks[k]
+	size := int(old.off[blockSize] - old.off[0])
 	for i, u := range us {
 		size += len(rows[i]) - g.Degree(u)
 	}
-	offsets := make([]int32, n+1)
+	off := new([blockSize + 1]int32)
 	adj := make([]int32, 0, size)
-	// copyRange appends g's rows of vertices [lo, hi) and their offsets.
-	copyRange := func(lo, hi int32) {
-		shift := int32(len(adj)) - g.offsets[lo]
-		adj = append(adj, g.adj[g.offsets[lo]:g.offsets[hi]]...)
-		for v := lo; v < hi; v++ {
-			offsets[v+1] = g.offsets[v+1] + shift
+	// copyRange appends the old rows of local vertices [a, b).
+	copyRange := func(a, b int32) {
+		shift := int32(len(adj)) - old.off[a]
+		adj = append(adj, old.adj[old.off[a]:old.off[b]]...)
+		for i := a; i < b; i++ {
+			off[i+1] = old.off[i+1] + shift
 		}
 	}
 	next := int32(0)
 	for i, u := range us {
-		copyRange(next, u)
+		x := u & blockMask
+		copyRange(next, x)
 		adj = append(adj, rows[i]...)
-		offsets[u+1] = int32(len(adj))
-		next = u + 1
+		off[x+1] = int32(len(adj))
+		next = x + 1
 	}
-	copyRange(next, n)
-	return (&Graph{offsets: offsets, adj: adj, m: m}).finish()
+	copyRange(next, blockSize)
+	return block{off: off, adj: adj}
+}
+
+// heapCopy copies a graph into one heap offsets and adjacency array,
+// keeping its degree summaries.
+func (g *Graph) heapCopy() *Graph {
+	offsets := make([]int32, g.n+1)
+	adj := make([]int32, 0, 2*g.m)
+	for u := int32(0); u < int32(g.n); u++ {
+		adj = append(adj, g.Neighbors(u)...)
+		offsets[u+1] = int32(len(adj))
+	}
+	h := blocked(offsets, adj, g.m)
+	h.maxDeg, h.hist = g.maxDeg, g.hist
+	return h
 }
 
 // FromEdges builds a graph with n vertices from an explicit edge list.
@@ -475,12 +615,13 @@ func (g *Graph) DropIsolated() *Graph {
 	return sub
 }
 
-// Clone returns a deep copy of the graph (without any hub index; the
-// copy rebuilds its own on demand).
+// Clone returns a graph with g's rows that shares g's immutable blocks
+// (a mapped graph's rows are copied) but none of its lazily built
+// indexes: the copy rebuilds its own hub index and sketches on demand.
 func (g *Graph) Clone() *Graph { return g.Patch(nil, nil, g.m) }
 
 // Bytes returns the approximate in-memory size of the CSR arrays, used by
 // the memory experiment (Fig 4) to report "graph size".
 func (g *Graph) Bytes() int {
-	return 4 * (len(g.offsets) + len(g.adj))
+	return 4 * (g.n + 1 + 2*g.m)
 }

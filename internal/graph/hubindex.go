@@ -64,7 +64,7 @@ func buildHubIndex(g *Graph) *HubIndex {
 		return h
 	}
 	// Smallest theta ≥ minHubDegree whose suffix count fits the budget.
-	hist := g.degHist
+	hist := g.DegreeHist()
 	theta, suffix := len(hist), 0
 	for d := len(hist) - 1; d >= minHubDegree; d-- {
 		if suffix+hist[d] > maxHubs {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"neisky/internal/bitset"
@@ -203,15 +204,12 @@ func TestMemoizedDegreeStats(t *testing.T) {
 				t.Fatalf("DegreeHist[%d]=%d want %d", d, c, hist[d])
 			}
 		}
-		// The public copying accessor must agree with the memoized one.
-		pub := g.DegreeHistogram()
-		if len(pub) != len(got) {
-			t.Fatalf("DegreeHistogram len=%d want %d", len(pub), len(got))
-		}
-		for d := range pub {
-			if pub[d] != got[d] {
-				t.Fatalf("DegreeHistogram[%d]=%d want %d", d, pub[d], got[d])
-			}
+		// Patch patches the summaries instead of rescanning: after
+		// random edge flips they must equal a rebuild's.
+		p, want := flip(g, randomPairs(r, g.N(), 1+r.Intn(8)))
+		if p.MaxDegree() != want.MaxDegree() || !slices.Equal(p.DegreeHist(), want.DegreeHist()) {
+			t.Fatalf("patched MaxDegree %d hist %v, rebuild %d %v",
+				p.MaxDegree(), p.DegreeHist(), want.MaxDegree(), want.DegreeHist())
 		}
 	}
 }

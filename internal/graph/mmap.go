@@ -43,16 +43,15 @@ func (mg *Mapped) Mmapped() bool { return mg.data != nil }
 // Flags returns the snapshot's v2 header flags (FlagDegreeRelabeled...).
 func (mg *Mapped) Flags() uint64 { return mg.flags }
 
-// Close unmaps the snapshot. After Close the embedded Graph's arrays
-// are nil, so a use-after-close fails with a Go panic rather than a
-// segfault. Close is idempotent.
+// Close unmaps the snapshot. After Close the embedded Graph's block
+// table is nil, so a use-after-close fails with a Go panic rather than
+// a segfault. Close is idempotent.
 func (mg *Mapped) Close() error {
 	if mg.closed {
 		return nil
 	}
 	mg.closed = true
-	mg.Graph.offsets = nil
-	mg.Graph.adj = nil
+	mg.Graph.blocks = nil
 	if mg.data == nil {
 		return nil
 	}
@@ -156,7 +155,8 @@ func mapFromBytes(data []byte) (*Mapped, error) {
 	if err := validateCSR(offsets, adj, n, m); err != nil {
 		return nil, err
 	}
-	g := (&Graph{offsets: offsets, adj: adj, m: m}).finish()
+	g := fromCSR(offsets, adj, m)
+	g.borrowed = true
 	if err := checkSymmetric(g); err != nil {
 		return nil, err
 	}
@@ -185,8 +185,8 @@ func (mg *Mapped) AdviseRange(lo, hi int32) {
 	if lo >= hi {
 		return
 	}
-	a := mg.adjOff + 4*int(mg.Graph.offsets[lo])
-	b := mg.adjOff + 4*int(mg.Graph.offsets[hi])
+	a := mg.adjOff + 4*int(mg.Graph.offset(lo))
+	b := mg.adjOff + 4*int(mg.Graph.offset(hi))
 	a &^= os.Getpagesize() - 1
 	if a < b && b <= len(mg.data) {
 		adviseWillNeed(mg.data[a:b])

@@ -73,7 +73,7 @@ func (g *Graph) Relabel(oldToNew []int32) *Graph {
 		}
 		sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
 	}
-	return (&Graph{offsets: offsets, adj: adj, m: g.m}).finish()
+	return fromCSR(offsets, adj, g.m)
 }
 
 // RelabelByDegree applies the degree-descending permutation and returns

@@ -26,8 +26,9 @@ func (r ShardRange) Len() int { return int(r.Hi - r.Lo) }
 // low-id hub shard stays narrow and the high-id tail shards widen.
 //
 // Boundaries come from binary searches over the cumulative weight
-// W(v) = v + offsets[v] (monotone by construction), so partitioning
-// costs O(s log n). Fewer than s shards come back when n < s or when a
+// W(v) = v + offsets[v] (monotone by construction; the flat offset is
+// read from v's block and the block's base), so partitioning costs
+// O(s log n). Fewer than s shards come back when n < s or when a
 // single vertex outweighs a whole target slice (the next boundary is
 // pushed past several targets to keep shards non-empty).
 func (g *Graph) PartitionShards(s int) []ShardRange {
@@ -41,7 +42,7 @@ func (g *Graph) PartitionShards(s int) []ShardRange {
 	if int32(s) > n {
 		s = int(n)
 	}
-	total := int64(n) + int64(len(g.adj))
+	total := int64(n) + 2*int64(g.m)
 	shards := make([]ShardRange, 0, s)
 	lo := int32(0)
 	for i := 0; i < s && lo < n; i++ {
@@ -51,7 +52,7 @@ func (g *Graph) PartitionShards(s int) []ShardRange {
 			target := total * int64(i+1) / int64(s)
 			hi = lo + 1 + int32(sort.Search(int(n-lo-1), func(k int) bool {
 				v := lo + 1 + int32(k)
-				return int64(v)+int64(g.offsets[v]) >= target
+				return int64(v)+int64(g.offset(v)) >= target
 			}))
 		}
 		shards = append(shards, ShardRange{Lo: lo, Hi: hi})

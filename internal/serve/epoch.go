@@ -27,6 +27,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"neisky/internal/clique"
+	"neisky/internal/core"
+	"neisky/internal/dynsky"
 	"neisky/internal/graph"
 	"neisky/internal/skytree"
 )
@@ -34,7 +37,11 @@ import (
 // ErrClosed is returned by Swap after the store has shut down.
 var ErrClosed = errors.New("serve: store closed")
 
-// Snapshot is one immutable generation of the served graph.
+// Snapshot is one immutable generation of the served graph, with the
+// state derived from it: the layered index and the skyline. Each is
+// computed once per epoch, on the first query that needs it or by the
+// batch swap that published the epoch, and every later query of the
+// epoch reads it.
 type Snapshot struct {
 	Graph *graph.Graph
 	// Closer releases the resources backing Graph (an mmap) when the
@@ -52,12 +59,10 @@ type Snapshot struct {
 	treeMu sync.Mutex
 	tree   *skytree.Tree
 
-	// dominators is Graph's canonical O array (dynsky's Dominators),
-	// set by a batch swap without an index before it publishes and
-	// never written after; only the next batch swap reads it, under
-	// swapMu, to seed its maintainer without a skyline run. Nil after a
-	// load.
-	dominators []int32
+	// The skyline state of Graph (see skyState), under Tree's rule.
+	// A batch swap without an index sets it before it publishes.
+	skyMu sync.Mutex
+	sky   *skyState
 }
 
 // Tree returns the snapshot's layered dominance index, building it on
@@ -95,6 +100,103 @@ func (s *Snapshot) SetTree(t *skytree.Tree) {
 	s.treeMu.Lock()
 	s.tree = t
 	s.treeMu.Unlock()
+}
+
+// skyState is one epoch's skyline: Graph's canonical O array with |R|
+// (dynsky.Dominators: each entry the smallest-ID dominator, isolated
+// vertices on the closed form, the array core.BruteForce returns), and
+// derived from it on first use the ascending skyline and the k=1
+// maximum clique. /v1/skyline, /v1/dominators, /v1/clique and
+// /v1/centrality/group read it instead of running an engine.
+//
+// A state whose build a query's context cut short (err != nil) holds a
+// sound superset: every entry names a valid dominator or the vertex
+// itself (not yet proven dominated). It is returned to that query, and
+// every answer derived from it is marked truncated with err as the
+// cause, but it is never cached.
+type skyState struct {
+	dom dynsky.Dominators
+	err error
+
+	listOnce sync.Once
+	list     []int32
+
+	cliqueMu sync.Mutex
+	clique   *clique.Result // the complete k=1 clique, once computed
+}
+
+// skyline returns the snapshot's skyline state, building it on first
+// use under ctx from the cheapest source the epoch has:
+//  1. the O array and |R| a batch swap without an index published;
+//  2. a built index's layer 0 (the skyline, plus the isolated
+//     vertices), then one whole-graph smallest-dominator scan per
+//     dominated non-isolated vertex (dynsky.Canonical);
+//  3. one sharded skyline engine run under ctx, then that scan.
+//
+// A truncated build is returned but never cached (Tree's rule).
+func (s *Snapshot) skyline(ctx context.Context) *skyState {
+	s.skyMu.Lock()
+	defer s.skyMu.Unlock()
+	if s.sky != nil {
+		return s.sky
+	}
+	g := s.Graph
+	dom := make([]int32, g.N())
+	var engineErr error
+	if t := s.TreeIfBuilt(); t != nil {
+		for v := range dom {
+			dom[v] = -1
+			if t.Layer(int32(v)) == 0 {
+				dom[v] = int32(v)
+			}
+		}
+	} else {
+		res := core.ShardedFilterRefineSkyCtx(ctx, g, core.Options{}, core.ShardOptions{})
+		dom = res.Dominator
+		if res.Truncated {
+			engineErr = res.Err
+		}
+	}
+	d, err := dynsky.Canonical(ctx, g, dom)
+	st := &skyState{dom: d, err: err}
+	if engineErr != nil {
+		st.err = engineErr
+	}
+	if st.err == nil {
+		s.sky = st
+	}
+	return st
+}
+
+// skylineIfBuilt returns the cached skyline state without building it
+// (nil when none is cached): a batch swap seeds dynsky from it.
+func (s *Snapshot) skylineIfBuilt() *skyState {
+	s.skyMu.Lock()
+	defer s.skyMu.Unlock()
+	return s.sky
+}
+
+// skyline returns the skyline in ascending ID order.
+func (st *skyState) skyline() []int32 {
+	st.listOnce.Do(func() { st.list = st.dom.Skyline() })
+	return st.list
+}
+
+// maxClique returns a maximum clique of g, the state's graph, found by
+// the skyline-pruned search (clique.NeiSkyMCWithSkylineCtx) under ctx.
+// A complete search from a complete state is memoized; a truncated one
+// is returned and retried by the next query.
+func (st *skyState) maxClique(ctx context.Context, g *graph.Graph) *clique.Result {
+	st.cliqueMu.Lock()
+	defer st.cliqueMu.Unlock()
+	if st.clique != nil {
+		return st.clique
+	}
+	res := clique.NeiSkyMCWithSkylineCtx(ctx, g, st.skyline())
+	if !res.Truncated && st.err == nil {
+		st.clique = res
+	}
+	return res
 }
 
 // epoch pairs one published snapshot with its reader refcount.

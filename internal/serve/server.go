@@ -327,29 +327,24 @@ func parseK(r *http.Request, def int) (int, error) {
 
 type skylineResponse struct {
 	meta
-	SkylineSize    int     `json:"skyline_size"`
-	Skyline        []int32 `json:"skyline"`
-	CandidatesSize int     `json:"candidates_size,omitempty"`
+	SkylineSize int     `json:"skyline_size"`
+	Skyline     []int32 `json:"skyline"`
 }
 
-// skyline serves GET /v1/skyline?timeout=&budget=&limit= with the
-// paper's Algorithm 3 (FilterRefineSkyCtx). A truncated run still
-// returns 200: the listed set is a sound superset of the true skyline
-// (the filter/refine contract), flagged with truncated=true and the
-// cause.
+// skyline serves GET /v1/skyline?timeout=&budget=&limit= from the
+// epoch's skyline state (Snapshot.skyline): a lookup once the state is
+// built. A build cut short by the query's context still returns 200:
+// the listed set is a sound superset of the true skyline, flagged with
+// truncated=true and the cause.
 func (s *Server) skyline(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
 	limit, err := s.parseLimit(r)
 	if err != nil {
 		return nil, err
 	}
-	res := core.FilterRefineSkyCtx(ctx, pin.Graph(), core.Options{})
-	resp := &skylineResponse{
-		SkylineSize:    len(res.Skyline),
-		Skyline:        clip(res.Skyline, limit),
-		CandidatesSize: len(res.Candidates),
-	}
-	if res.Truncated {
-		resp.markTruncated(res.Err)
+	st := pin.Snapshot().skyline(ctx)
+	resp := &skylineResponse{SkylineSize: st.dom.SkylineSize(), Skyline: clip(st.skyline(), limit)}
+	if st.err != nil {
+		resp.markTruncated(st.err)
 	}
 	return resp, nil
 }
@@ -374,9 +369,9 @@ type centralityResponse struct {
 }
 
 // centrality serves GET /v1/centrality/group?k=&measure=. It is the
-// paper's NeiSkyGC/NeiSkyGH under a context: skyline candidates, lazy
-// greedy, pruned BFS. On truncation Group is the prefix of true greedy
-// picks committed so far.
+// paper's NeiSkyGC/NeiSkyGH under a context: the epoch's skyline as
+// candidates, lazy greedy, pruned BFS. On truncation Group is the
+// prefix of true greedy picks committed so far.
 func (s *Server) centrality(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
 	q := r.URL.Query()
 	k, err := strconv.Atoi(q.Get("k"))
@@ -395,9 +390,9 @@ func (s *Server) centrality(ctx context.Context, r *http.Request, pin *Pin) (res
 	}
 	g := pin.Graph()
 	k = min(k, g.N())
-	sky := core.FilterRefineSkyCtx(ctx, g, core.Options{})
+	st := pin.Snapshot().skyline(ctx)
 	res := centrality.GreedyCtx(ctx, g, k, measure,
-		centrality.Options{Candidates: sky.Skyline, Lazy: true, PrunedBFS: true})
+		centrality.Options{Candidates: st.skyline(), Lazy: true, PrunedBFS: true})
 	resp := &centralityResponse{
 		K:         k,
 		Measure:   name,
@@ -407,14 +402,20 @@ func (s *Server) centrality(ctx context.Context, r *http.Request, pin *Pin) (res
 	}
 	// A truncated skyline is still a sound (superset) candidate pool,
 	// but the response must say the answer may differ from a full run.
-	if res.Truncated || sky.Truncated {
-		err := res.Err
-		if err == nil {
-			err = sky.Err
-		}
-		resp.markTruncated(err)
-	}
+	markDerived(&resp.meta, st, res.Truncated, res.Err)
 	return resp, nil
+}
+
+// markDerived marks an answer computed from the skyline state st: it
+// is truncated when st is (with st's cause) or when its own run was
+// (truncated, with err).
+func markDerived(m *meta, st *skyState, truncated bool, err error) {
+	switch {
+	case st.err != nil:
+		m.markTruncated(st.err)
+	case truncated:
+		m.markTruncated(err)
+	}
 }
 
 type cliqueResponse struct {
@@ -425,9 +426,10 @@ type cliqueResponse struct {
 }
 
 // clique serves GET /v1/clique?k=. k=1 (the default) is the
-// skyline-seeded maximum-clique search; k>1 returns the k largest
-// distinct cliques. On truncation every listed clique is genuine — the
-// incumbent(s) of the branch-and-bound — just possibly not maximum.
+// skyline-seeded maximum-clique search, memoized on the epoch's
+// skyline state; k>1 returns the k largest distinct cliques, seeded
+// from the same state. On truncation every listed clique is genuine —
+// the incumbent(s) of the branch-and-bound — just possibly not maximum.
 func (s *Server) clique(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
 	k, err := parseK(r, 1)
 	if err != nil {
@@ -435,23 +437,21 @@ func (s *Server) clique(ctx context.Context, r *http.Request, pin *Pin) (respons
 	}
 	k = min(k, s.opts.MaxList)
 	resp := &cliqueResponse{}
+	st := pin.Snapshot().skyline(ctx)
 	if k == 1 {
-		res := clique.NeiSkyMCCtx(ctx, pin.Graph())
+		res := st.maxClique(ctx, pin.Graph())
 		resp.Size = len(res.Clique)
 		resp.Clique = clip(res.Clique, s.opts.MaxList)
-		if res.Truncated {
-			resp.markTruncated(res.Err)
-		}
+		markDerived(&resp.meta, st, res.Truncated, res.Err)
 		return resp, nil
 	}
-	res := clique.NeiSkyTopkMCCCtx(ctx, pin.Graph(), k)
+	sky := &core.Result{Skyline: st.skyline(), Dominator: st.dom.Slice()}
+	res := clique.NeiSkyTopkMCCWithSkylineCtx(ctx, pin.Graph(), k, sky)
 	resp.Clique, resp.Cliques = []int32{}, res.Cliques
 	if len(res.Cliques) > 0 {
 		resp.Size, resp.Clique = len(res.Cliques[0]), res.Cliques[0]
 	}
-	if res.Truncated {
-		resp.markTruncated(res.Err)
-	}
+	markDerived(&resp.meta, st, res.Truncated, res.Err)
 	return resp, nil
 }
 
@@ -469,9 +469,10 @@ type dominatorsResponse struct {
 
 // dominators serves GET /v1/dominators?v=3,7,12 — the paper's O array
 // restricted to the requested vertices (all vertices, list-capped, when
-// ?v is absent). Each entry names one dominator; in_skyline entries
-// dominate themselves. On truncation in_skyline=true means "not yet
-// proven dominated".
+// ?v is absent), looked up in the epoch's skyline state. Each entry
+// names x's smallest-ID dominator; in_skyline entries dominate
+// themselves. On truncation in_skyline=true means "not yet proven
+// dominated".
 func (s *Server) dominators(ctx context.Context, r *http.Request, pin *Pin) (response, error) {
 	limit, err := s.parseLimit(r)
 	if err != nil {
@@ -492,7 +493,7 @@ func (s *Server) dominators(ctx context.Context, r *http.Request, pin *Pin) (res
 		}
 	}
 
-	res := core.FilterRefineSkyCtx(ctx, g, core.Options{})
+	st := pin.Snapshot().skyline(ctx)
 	if verts == nil {
 		verts = make([]int32, min(g.N(), limit))
 		for i := range verts {
@@ -501,12 +502,12 @@ func (s *Server) dominators(ctx context.Context, r *http.Request, pin *Pin) (res
 	}
 	entries := make([]dominatorEntry, len(verts))
 	for i, v := range verts {
-		d := res.Dominator[v]
+		d := st.dom.Of(v)
 		entries[i] = dominatorEntry{V: v, Dominator: d, InSkyline: d == v}
 	}
-	resp := &dominatorsResponse{SkylineSize: len(res.Skyline), Dominators: entries}
-	if res.Truncated {
-		resp.markTruncated(res.Err)
+	resp := &dominatorsResponse{SkylineSize: st.dom.SkylineSize(), Dominators: entries}
+	if st.err != nil {
+		resp.markTruncated(st.err)
 	}
 	return resp, nil
 }
@@ -647,13 +648,15 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 	// If the outgoing snapshot has a built layered index, carry it over
 	// incrementally (skytree re-decides, level by level, only the
 	// vertices each op can flip) instead of leaving the new epoch to a
-	// lazy from-scratch rebuild;
-	// the carried layer 0 gives the skyline size, so no skyline engine
-	// runs. Without an index, dynsky's maintained O array gives it, and
-	// the new snapshot keeps that array for the next swap: only a
-	// lineage's first batch swap after a load (startup, file swap or WAL
-	// recovery) seeds it with an engine run. A cancelled batch publishes
-	// the exact applied prefix either way.
+	// lazy from-scratch rebuild; the carried layer 0 gives the skyline
+	// size, so no skyline engine runs. Without an index, dynsky's
+	// maintained O array gives it, and the new snapshot keeps that
+	// array as its skyline state: reads look it up, and the next swap
+	// continues from it. Only a lineage's first batch swap after a load
+	// (startup, file swap or WAL recovery) seeds dynsky with an engine
+	// run, and not even that one when a read has built the outgoing
+	// epoch's state. A cancelled batch publishes the exact applied
+	// prefix either way.
 	var processed, applied int
 	var applyErr error
 	var snap *Snapshot
@@ -667,14 +670,15 @@ func (s *Server) swapFromOps(w http.ResponseWriter, r *http.Request, ops []swapO
 		skySize = t.SkylineSize(snap.Graph)
 	} else {
 		var m *dynsky.Maintainer
-		if prev := pin.Snapshot().dominators; prev != nil {
-			m = dynsky.Seeded(g, prev)
+		if st := pin.Snapshot().skylineIfBuilt(); st != nil {
+			m = dynsky.Seeded(g, st.dom)
 		} else {
 			m = dynsky.New(g)
 		}
 		processed, applied, applyErr = m.ApplyPrefixCtx(ctx, batch)
-		snap = &Snapshot{Graph: m.Graph(), Name: fmt.Sprintf("batch:%d", applied), dominators: m.Dominators()}
-		skySize = m.SkylineSize()
+		snap = &Snapshot{Graph: m.Graph(), Name: fmt.Sprintf("batch:%d", applied),
+			sky: &skyState{dom: m.Dominators()}}
+		skySize = snap.sky.dom.SkylineSize()
 	}
 	// Ack-after-durable: the processed prefix — exactly what the new
 	// snapshot's state reflects — reaches the WAL before the epoch is

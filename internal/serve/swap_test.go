@@ -2,11 +2,13 @@ package serve
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"neisky/internal/core"
@@ -128,7 +130,7 @@ func TestSwapSkylineSizeMatchesOracle(t *testing.T) {
 				}
 				if !carried {
 					pin := srv.Store().Acquire()
-					got := pin.Snapshot().dominators
+					got := pin.Snapshot().sky.dom.Slice()
 					pin.Release()
 					if want := core.BruteForce(graph.FromEdges(model.n, model.list())).Dominator; !slices.Equal(got, want) {
 						t.Fatalf("%s: carried O array %v, brute force %v", label, got, want)
@@ -251,4 +253,105 @@ func TestNoIndexSwapsSeedOncePerLineage(t *testing.T) {
 		t.Fatalf("recovery stats %+v, want a recovery", st)
 	}
 	lineage("after recovery", ts)
+}
+
+// TestSkylineReadSeedsFirstSwap pins that reads and a lineage's first
+// batch swap share one engine run: after a /v1/skyline read has built
+// the epoch's skyline state, the first no-index swap seeds dynsky from
+// it and runs no skyline engine.
+func TestSkylineReadSeedsFirstSwap(t *testing.T) {
+	rec := obs.New()
+	defer obs.Swap(obs.Swap(rec))
+	_, ts := newTestServer(t, testGraph(), Options{})
+	before := engineSpans(rec)
+	if code, body := get(t, ts, "/v1/skyline"); code != http.StatusOK {
+		t.Fatalf("skyline read: status %d: %v", code, body)
+	}
+	if engineSpans(rec) == before {
+		t.Fatal("the first skyline read of a fresh epoch recorded no engine span")
+	}
+	before = engineSpans(rec)
+	if code, body := post(t, ts, "/v1/snapshot/swap", `{"ops":[{"add":true,"u":0,"v":2}]}`); code != http.StatusOK {
+		t.Fatalf("swap: status %d: %v", code, body)
+	}
+	if got := engineSpans(rec) - before; got != 0 {
+		t.Fatalf("the first swap after a skyline read recorded %d engine spans, want 0", got)
+	}
+}
+
+// TestSkylineStateMatchesBruteForce checks the epoch's O array and |R|
+// against core.BruteForce on small graphs, isolated vertices included,
+// from each of its three sources: a batch swap's published array, a
+// built index's layer 0 plus the smallest-dominator scan, and an engine
+// run plus that scan.
+func TestSkylineStateMatchesBruteForce(t *testing.T) {
+	r := rng.New(61)
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(30)
+		var edges [][2]int32
+		for i := r.Intn(3 * n); i > 0; i-- {
+			edges = append(edges, [2]int32{int32(r.Intn(n)), int32(r.Intn(n))})
+		}
+		g := graph.FromEdges(n, edges)
+		check := func(source string, snap *Snapshot) {
+			t.Helper()
+			st := snap.skyline(context.Background())
+			want := core.BruteForce(snap.Graph)
+			if got := st.dom.Slice(); st.err != nil || !slices.Equal(got, want.Dominator) {
+				t.Fatalf("trial %d, %s: O array %v (err %v), brute force %v", trial, source, got, st.err, want.Dominator)
+			}
+			if st.dom.SkylineSize() != len(want.Skyline) || !slices.Equal(st.skyline(), want.Skyline) {
+				t.Fatalf("trial %d, %s: skyline %v, brute force %v", trial, source, st.skyline(), want.Skyline)
+			}
+		}
+		check("engine", &Snapshot{Graph: g})
+		indexed := &Snapshot{Graph: g}
+		indexed.Tree(context.Background())
+		check("index", indexed)
+
+		srv, ts := newTestServer(t, g, Options{})
+		if n > 1 {
+			u, v := int32(r.Intn(n)), int32(r.Intn(n))
+			if u == v {
+				v = (u + 1) % int32(n)
+			}
+			body := fmt.Sprintf(`{"ops":[{"add":%v,"u":%d,"v":%d}]}`, r.Intn(2) == 0, u, v)
+			if code, resp := post(t, ts, "/v1/snapshot/swap", body); code != http.StatusOK {
+				t.Fatalf("swap: status %d: %v", code, resp)
+			}
+		}
+		pin := srv.Store().Acquire()
+		if n > 1 && pin.Snapshot().skylineIfBuilt() == nil {
+			t.Fatal("a batch swap without an index published no skyline state")
+		}
+		check("swap", pin.Snapshot())
+		pin.Release()
+	}
+}
+
+// TestWarmEpochAnswersBudgetedReads pins that skyline reads of a warm
+// epoch are lookups: once the state and the k=1 clique are built, a
+// 1-unit budget truncates none of /v1/skyline, /v1/dominators and
+// /v1/clique, and each answers as it did without a budget.
+func TestWarmEpochAnswersBudgetedReads(t *testing.T) {
+	_, ts := newTestServer(t, bigGraph(), Options{})
+	for _, path := range []string{"/v1/skyline", "/v1/dominators?v=0,1,2,2999", "/v1/clique"} {
+		code, warm := get(t, ts, path)
+		if code != http.StatusOK || warm["truncated"] != false {
+			t.Fatalf("%s: status %d: %v", path, code, warm)
+		}
+		sep := "?"
+		if strings.Contains(path, "?") {
+			sep = "&"
+		}
+		code, body := get(t, ts, path+sep+"budget=1")
+		if code != http.StatusOK || body["truncated"] != false {
+			t.Fatalf("%s?budget=1 on a warm epoch: status %d: %v", path, code, body)
+		}
+		for _, key := range []string{"skyline", "skyline_size", "dominators", "clique", "size"} {
+			if fmt.Sprint(body[key]) != fmt.Sprint(warm[key]) {
+				t.Fatalf("%s?budget=1: %s %v, unbudgeted %v", path, key, body[key], warm[key])
+			}
+		}
+	}
 }

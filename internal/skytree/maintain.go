@@ -3,11 +3,13 @@ package skytree
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"neisky/internal/core"
 	"neisky/internal/dynsky"
 	"neisky/internal/graph"
 	"neisky/internal/obs"
+	"neisky/internal/paged"
 	"neisky/internal/runctl"
 )
 
@@ -41,15 +43,24 @@ import (
 //
 // An op costs its hot vertices' scans, independent of n; one that moves
 // a hub's layer re-decides the hub's 2-hop ball at each level it spans.
+//
+// Memory. The layer and parent arrays are forks of the seed tree's
+// paged arrays, so the maintainer copies only the pages its ops write,
+// and Tree publishes them as forks again; the per-op flags live in a
+// map of the vertices on the op's lists. Seeding, a batch and
+// publishing therefore cost page tables and touched pages, not n.
 type Maintainer struct {
 	rows   *dynsky.Rows
-	layer  []int32
-	parent []int32
+	layer  paged.Array[int32]
+	parent paged.Array[int32]
 	counts []int // per-layer vertex counts (NumLayers)
 
-	// Per-op scratch. flag holds one byte of bits per vertex, and each
-	// bit is cleared through the list that set it.
-	flag   []uint8
+	// Per-op scratch. flag holds the bits of the vertices on a list,
+	// and each bit is cleared through the list that set it, so flag is
+	// empty between ops. A map, not a per-vertex array: an op marks a
+	// few hundred vertices spread over the whole ID range (hubs'
+	// neighbors), and an array would cost a page per vertex marked.
+	flag   map[int32]uint8
 	moved  []move  // vertices whose layer left its pre-op value
 	diff   []int32 // D_j: membership differs between S_j and S'_j
 	hot    []int32 // vertices whose N[q] was visited at this level
@@ -83,6 +94,8 @@ func NewMaintainer(g *graph.Graph, opts BuildOptions) *Maintainer {
 // It runs no skyline engine. Truncated trees are rejected (their
 // unassigned layers would poison every locality argument). Like
 // dynsky.Rows, the maintainer reads g's storage until Graph returns.
+// The maintainer shares t's pages and copies one only when an op writes
+// it, so seeding costs page tables, not n entries.
 func NewMaintainerFromTree(g *graph.Graph, t *Tree) *Maintainer {
 	if t.Truncated {
 		panic("skytree: NewMaintainerFromTree needs a complete tree")
@@ -90,17 +103,13 @@ func NewMaintainerFromTree(g *graph.Graph, t *Tree) *Maintainer {
 	if t.N() != g.N() {
 		panic(fmt.Sprintf("skytree: tree has %d vertices, graph %d", t.N(), g.N()))
 	}
-	m := &Maintainer{
+	return &Maintainer{
 		rows:   dynsky.NewRows(g),
-		layer:  append([]int32(nil), t.layer...),
-		parent: append([]int32(nil), t.parent...),
+		layer:  t.layer.Fork(),
+		parent: t.parent.Fork(),
+		counts: slices.Clone(t.counts),
+		flag:   map[int32]uint8{},
 	}
-	m.counts = make([]int, t.NumLayers())
-	for _, l := range m.layer {
-		m.counts[l]++
-	}
-	m.flag = make([]uint8, g.N())
-	return m
 }
 
 // N returns the vertex count.
@@ -110,22 +119,20 @@ func (m *Maintainer) N() int { return m.rows.N() }
 func (m *Maintainer) M() int { return m.rows.M() }
 
 // Layer returns v's current dominance layer.
-func (m *Maintainer) Layer(v int32) int32 { return m.layer[v] }
+func (m *Maintainer) Layer(v int32) int32 { return m.layer.Get(v) }
 
 // Parent returns v's current parent witness (-1 for layer 0).
-func (m *Maintainer) Parent(v int32) int32 { return m.parent[v] }
+func (m *Maintainer) Parent(v int32) int32 { return m.parent.Get(v) }
 
 // NumLayers returns the current number of layers.
 func (m *Maintainer) NumLayers() int { return len(m.counts) }
 
-// Tree snapshots the current index as an immutable Tree.
+// Tree snapshots the current index as an immutable Tree that shares
+// the maintainer's pages; later updates copy a page before they write
+// it, so the tree never changes. Its layer counts come along, and its
+// layer lists are built on first use.
 func (m *Maintainer) Tree() *Tree {
-	t := &Tree{
-		layer:  append([]int32(nil), m.layer...),
-		parent: append([]int32(nil), m.parent...),
-	}
-	t.buildLayerLists()
-	return t
+	return &Tree{layer: m.layer.Fork(), parent: m.parent.Fork(), counts: slices.Clone(m.counts)}
 }
 
 // Graph snapshots the current adjacency as an immutable CSR graph (see
@@ -187,13 +194,13 @@ func (m *Maintainer) update(u, v int32, add bool) {
 	r := obs.Get()
 	defer r.Start("skytree.update").End()
 
-	ou, ov := m.layer[u], m.layer[v]
+	ou, ov := m.layer.Get(u), m.layer.Get(v)
 	var decisions int64
 	for j := int32(0); ; j++ {
-		if int(j) > len(m.layer) {
+		if int(j) > m.N() {
 			panic("skytree: level cascade failed to settle (invariant violation)")
 		}
-		kn := core.Kernel{G: m.rows, S: core.Level(m.layer, j)}
+		kn := core.Kernel{G: m.rows, S: core.Level(&m.layer, j)}
 		for _, mv := range m.moved {
 			if (mv.old >= j) != kn.S.Contains(mv.v) {
 				m.flag[mv.v] |= inDiff
@@ -234,7 +241,7 @@ func (m *Maintainer) update(u, v int32, add bool) {
 		// Moving between j, -1 and deeper layers keeps a vertex in S'_j,
 		// so the scope stays fixed while the level settles.
 		for _, x := range m.check {
-			m.flag[x] &^= inCheck
+			m.clearFlag(x, inCheck)
 			if !kn.S.Contains(x) {
 				continue
 			}
@@ -243,7 +250,7 @@ func (m *Maintainer) update(u, v int32, add bool) {
 				m.flag[x] |= inRedone
 				m.redone = append(m.redone, x)
 			}
-			l := m.layer[x]
+			l := m.layer.Get(x)
 			if kn.FirstDominator(x) < 0 {
 				if l != j {
 					m.setLayer(x, j)
@@ -254,17 +261,17 @@ func (m *Maintainer) update(u, v int32, add bool) {
 		}
 		m.check = m.check[:0]
 		for _, y := range m.diff {
-			m.flag[y] &^= inDiff
+			m.clearFlag(y, inDiff)
 		}
 		m.diff = m.diff[:0]
 		for _, w := range m.hot {
-			m.flag[w] &^= inHot
+			m.clearFlag(w, inHot)
 		}
 		m.hot = m.hot[:0]
 	}
 	r.Add("skytree.update.dirty", decisions)
 	for _, mv := range m.moved {
-		m.flag[mv.v] &^= inMoved
+		m.clearFlag(mv.v, inMoved)
 	}
 	m.moved = m.moved[:0]
 
@@ -272,11 +279,24 @@ func (m *Maintainer) update(u, v int32, add bool) {
 	// covers each vertex whose dominators at its parent level changed,
 	// or whose dominator there entered or left that layer (see
 	// DESIGN.md §11), so every other parent is unchanged.
+	// Only a changed parent is written, so an unchanged one shares its
+	// page with the tree the maintainer was seeded from.
 	for _, x := range m.redone {
-		m.parent[x] = parentOf(m.rows, m.layer, x)
-		m.flag[x] &^= inRedone
+		if p := parentOf(m.rows, &m.layer, x); p != m.parent.Get(x) {
+			m.parent.Set(x, p)
+		}
+		m.clearFlag(x, inRedone)
 	}
 	m.redone = m.redone[:0]
+}
+
+// clearFlag clears bit b of x's flag.
+func (m *Maintainer) clearFlag(x int32, b uint8) {
+	if f := m.flag[x] &^ b; f != 0 {
+		m.flag[x] = f
+	} else {
+		delete(m.flag, x)
+	}
 }
 
 // partner returns w's other endpoint on the op edge (u, v), or -1.
@@ -331,7 +351,7 @@ func (m *Maintainer) mark(x int32) {
 // recording v's pre-op layer on its first move and maintaining the
 // histogram.
 func (m *Maintainer) setLayer(v, l int32) {
-	old := m.layer[v]
+	old := m.layer.Get(v)
 	if m.flag[v]&inMoved == 0 {
 		m.flag[v] |= inMoved
 		m.moved = append(m.moved, move{v, old})
@@ -339,7 +359,7 @@ func (m *Maintainer) setLayer(v, l int32) {
 	if old >= 0 {
 		m.counts[old]--
 	}
-	m.layer[v] = l
+	m.layer.Set(v, l)
 	if l >= 0 {
 		for int(l) >= len(m.counts) {
 			m.counts = append(m.counts, 0)

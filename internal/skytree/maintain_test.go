@@ -229,7 +229,8 @@ func TestStreamDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		m.Apply(ops)
 		d := dynsky.New(g)
 		d.Apply(ops)
-		return outcome{d.Skyline(), d.Dominators(), m.Graph().EdgeList(), m.Tree()}
+		doms := d.Dominators()
+		return outcome{d.Skyline(), doms.Slice(), m.Graph().EdgeList(), m.Tree()}
 	}
 	a, b := run(1), run(2)
 	switch {
@@ -297,5 +298,73 @@ func TestBatchSwapAllocsFlatInN(t *testing.T) {
 	}
 	if tLarge >= 2*tSmall {
 		t.Errorf("skytree swap allocations grow with n: %.0f at n=10k, %.0f at n=80k", tSmall, tLarge)
+	}
+}
+
+// TestBatchSwapBytesFlatInN pins the bytes of a batch swap: one carried
+// 8-op swap on each path — the status carry (dynsky.Seeded,
+// ApplyPrefixCtx, Graph, Dominators) and the tree carry
+// (NewMaintainerFromTree, ApplyPrefixCtx, Graph, Tree) — allocates
+// under twice as many bytes at n=80k as at n=10k. Each insert joins two
+// vertices of one 512-vertex range (one CSR block, inside one page of
+// every paged array), and the four ranges sit at the same relative
+// positions, among the low degrees, in both graphs. So both sizes
+// rebuild four blocks and copy their pages, and only what grows with n
+// can tell the sizes apart: page tables, the block table, the degree
+// histogram, scratch spread over the ID range, and any n-entry copy.
+func TestBatchSwapBytesFlatInN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an 80k-vertex graph")
+	}
+	ctx := context.Background()
+	measure := func(n int) (status, tree uint64) {
+		g, _, _ := gen.PowerLaw(n, 4*n, 2.5, 29).RelabelByDegree()
+		r := rng.New(30)
+		var batch []dynsky.Op
+		for _, at := range []float64{0.55, 0.65, 0.75, 0.85} {
+			const span = 512
+			lo := int32(float64(n)*at) &^ (span - 1)
+			for {
+				u, v := lo+int32(r.Intn(span)), lo+int32(r.Intn(span))
+				if u != v && !g.Has(u, v) {
+					batch = append(batch, dynsky.Op{Add: true, U: u, V: v})
+					break
+				}
+			}
+		}
+		for _, op := range batch[:4] {
+			batch = append(batch, dynsky.Op{U: op.U, V: op.V})
+		}
+		apply := func(m interface {
+			ApplyPrefixCtx(context.Context, []dynsky.Op) (int, int, error)
+		}) {
+			if _, applied, _ := m.ApplyPrefixCtx(ctx, batch); applied != len(batch) {
+				t.Fatalf("applied %d of %d ops", applied, len(batch))
+			}
+		}
+		d := dynsky.New(g).Dominators()
+		status = medianBytes(5, func() {
+			m := dynsky.Seeded(g, d)
+			apply(m)
+			m.Graph()
+			m.Dominators()
+		})
+		tr := Build(g, BuildOptions{})
+		tree = medianBytes(5, func() {
+			m := NewMaintainerFromTree(g, tr)
+			apply(m)
+			m.Graph()
+			m.Tree()
+		})
+		return status, tree
+	}
+	sSmall, tSmall := measure(10000)
+	sLarge, tLarge := measure(80000)
+	t.Logf("bytes per swap: status carry %d at n=10k, %d at n=80k; tree carry %d, %d", sSmall, sLarge, tSmall, tLarge)
+	if sLarge >= 2*sSmall {
+		t.Errorf("status carry bytes grow with n: %d at n=10k, %d at n=80k", sSmall, sLarge)
+	}
+	if tLarge >= 2*tSmall {
+		t.Errorf("tree carry bytes grow with n: %d at n=10k, %d at n=80k", tSmall, tLarge)
 	}
 }

@@ -3,6 +3,7 @@ package skytree
 import (
 	"context"
 	"slices"
+	"sync"
 
 	"neisky/internal/core"
 	"neisky/internal/graph"
@@ -30,6 +31,11 @@ import (
 // shallow-layer-first, since shallow vertices dominate more. Every
 // probe is verified exactly, so the result is identical with t == nil;
 // the assist only moves the early exit forward.
+
+// inQPool recycles the queries' membership arrays (*[]bool). Every
+// array in it is all false: a query sets Q's entries and clears exactly
+// those before putting it back, so a query costs its Q, not n.
+var inQPool sync.Pool
 
 // SubsetResult is the output of a subset-skyline query.
 type SubsetResult struct {
@@ -61,7 +67,12 @@ func SubsetSkylineCtx(ctx context.Context, g *graph.Graph, t *Tree, sub []int32)
 	defer r.Start("skytree.subset").End()
 
 	n := int32(g.N())
-	inQ := make([]bool, n)
+	buf, _ := inQPool.Get().(*[]bool)
+	if buf == nil || len(*buf) < int(n) {
+		b := make([]bool, n)
+		buf = &b
+	}
+	inQ := (*buf)[:n]
 	q := make([]int32, 0, len(sub))
 	for _, v := range sub {
 		if v >= 0 && v < n && !inQ[v] {
@@ -93,6 +104,10 @@ func SubsetSkylineCtx(ctx context.Context, g *graph.Graph, t *Tree, sub []int32)
 		}
 	}
 	res.Skyline = out
+	for _, v := range q {
+		inQ[v] = false
+	}
+	inQPool.Put(buf)
 	r.Add("skytree.subset.queries", 1)
 	return res
 }

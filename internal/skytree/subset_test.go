@@ -2,6 +2,8 @@ package skytree
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"testing"
 
 	"neisky/internal/gen"
@@ -144,5 +146,47 @@ func TestSubsetWitnessCountersMove(t *testing.T) {
 	}
 	if res.WitnessHits == 0 {
 		t.Fatal("parent witness never hit on Q=V (it must: parents dominate at their level, and Q=V contains every witness)")
+	}
+}
+
+// medianBytes returns the median heap bytes one call of f allocates
+// over runs calls. The median discards a run in which a collection
+// emptied a sync.Pool.
+func medianBytes(runs int, f func()) uint64 {
+	var ms runtime.MemStats
+	per := make([]uint64, runs)
+	for i := range per {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		per[i] = ms.TotalAlloc - before
+	}
+	slices.Sort(per)
+	return per[runs/2]
+}
+
+// TestSubsetBytesFlatInN pins that a subset query costs its Q, not n:
+// the same 200-vertex query allocates under twice as many bytes at
+// n=80k as at n=10k (the n-entry membership array is reused, not
+// allocated and zeroed per query).
+func TestSubsetBytesFlatInN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an 80k-vertex graph")
+	}
+	measure := func(n int) uint64 {
+		g := gen.PowerLaw(n, 4*n, 2.5, 31)
+		r := rng.New(32)
+		sub := make([]int32, 200)
+		for i := range sub {
+			sub[i] = int32(r.Intn(n))
+		}
+		SubsetSkyline(g, nil, sub)
+		return medianBytes(9, func() { SubsetSkyline(g, nil, sub) })
+	}
+	small, large := measure(10000), measure(80000)
+	t.Logf("bytes per 200-vertex subset query: %d at n=10k, %d at n=80k", small, large)
+	if large >= 2*small {
+		t.Errorf("subset query bytes grow with n: %d at n=10k, %d at n=80k", small, large)
 	}
 }

@@ -18,8 +18,11 @@
 // vertex of layer k-1 that dominates it in the level-(k-1) induced
 // subgraph. Parent chains therefore ascend exactly one layer per hop
 // and end at a layer-0 vertex — the dominator chain /v1/skyline/explain
-// serves. Children links are the inverse relation, materialized on
-// demand.
+// serves. Children links are the inverse relation, and the per-layer
+// vertex lists the layers' members; both are materialized on demand.
+// The layer and parent arrays are copy-on-write paged arrays
+// (internal/paged), so a carried tree shares every page its ops did
+// not write with the tree it came from.
 //
 // Construction reuses the sharded fused filter/refine engine
 // (core.ShardedFilterRefineSky, register-sketch pre-filter included)
@@ -31,11 +34,13 @@ package skytree
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"neisky/internal/core"
 	"neisky/internal/graph"
 	"neisky/internal/obs"
+	"neisky/internal/paged"
 	"neisky/internal/runctl"
 )
 
@@ -48,9 +53,12 @@ const checkEvery = 64
 // Construct with Build (or Maintainer.Tree) and share freely: all
 // methods are safe for concurrent use.
 type Tree struct {
-	layer  []int32   // layer[v] ≥ 0; -1 only in truncated builds
-	parent []int32   // parent[v] = -1 for layer-0 (and unassigned) vertices
-	layers [][]int32 // layers[k] = vertices of layer k, ascending IDs
+	layer  paged.Array[int32] // layer(v) ≥ 0; -1 only in truncated builds
+	parent paged.Array[int32] // parent(v) = -1 for layer-0 (and unassigned) vertices
+	counts []int              // counts[k] = size of layer k
+
+	layerOnce sync.Once
+	layers    [][]int32 // layers[k] = vertices of layer k, ascending IDs
 
 	childOnce sync.Once
 	children  [][]int32
@@ -86,11 +94,11 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opts BuildOptions) *Tree {
 	defer r.Start("skytree.build").End()
 
 	n := int32(g.N())
-	t := &Tree{layer: make([]int32, n), parent: make([]int32, n)}
-	for v := int32(0); v < n; v++ {
-		t.layer[v] = -1
-		t.parent[v] = -1
+	layer := make([]int32, n)
+	for v := range layer {
+		layer[v] = -1
 	}
+	t := &Tree{}
 
 	so := core.ShardOptions{Shards: opts.Shards, Workers: opts.Workers}
 	copts := core.Options{KeepIsolated: true}
@@ -114,8 +122,9 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opts BuildOptions) *Tree {
 			if orig != nil {
 				s = orig[s]
 			}
-			t.layer[s] = k
+			layer[s] = k
 		}
+		t.counts = append(t.counts, len(res.Skyline))
 		remaining -= len(res.Skyline)
 		if remaining == 0 {
 			break
@@ -127,7 +136,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opts BuildOptions) *Tree {
 		var local []int32
 		if orig == nil {
 			for v := int32(0); v < n; v++ {
-				if t.layer[v] < 0 {
+				if layer[v] < 0 {
 					keep = append(keep, v)
 				}
 			}
@@ -135,7 +144,7 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opts BuildOptions) *Tree {
 		} else {
 			local = make([]int32, 0, remaining)
 			for i, v := range orig {
-				if t.layer[v] < 0 {
+				if layer[v] < 0 {
 					keep = append(keep, v)
 					local = append(local, int32(i))
 				}
@@ -148,30 +157,35 @@ func BuildCtx(ctx context.Context, g *graph.Graph, opts BuildOptions) *Tree {
 		orig = keep
 	}
 
+	t.layer = paged.From(layer)
 	run := runctl.FromContext(ctx)
 	defer run.Release()
-	t.assignParents(run, g)
-	t.buildLayerLists()
+	t.parent = paged.From(t.parents(run, g))
 	return t
 }
 
-// assignParents fills parent[v] for every assigned vertex of layer ≥ 1
-// with its canonical witness (parentOf).
-func (t *Tree) assignParents(run *runctl.Run, g *graph.Graph) {
+// parents returns the parent array: every assigned vertex of layer ≥ 1
+// gets its canonical witness (parentOf), and the rest -1.
+func (t *Tree) parents(run *runctl.Run, g *graph.Graph) []int32 {
+	parent := make([]int32, g.N())
 	cp := run.Checkpoint(checkEvery)
-	for v := int32(0); v < int32(g.N()); v++ {
-		if t.layer[v] <= 0 {
+	stopped := false
+	for v := range parent {
+		v := int32(v)
+		parent[v] = -1
+		if stopped || t.layer.Get(v) <= 0 {
 			continue
 		}
-		if cp.Tick() {
+		if stopped = cp.Tick(); stopped {
 			t.Truncated = true
 			if t.Err == nil {
 				t.Err = run.Err()
 			}
-			return
+			continue
 		}
-		t.parent[v] = parentOf(g, t.layer, v)
+		parent[v] = parentOf(g, &t.layer, v)
 	}
+	return parent
 }
 
 // parentOf returns the canonical parent witness of v under layer on
@@ -183,82 +197,64 @@ func (t *Tree) assignParents(run *runctl.Run, g *graph.Graph) {
 // are exactly layer k-1. Restricting the witness to the previous layer,
 // rather than any dominator (whose own layer the peel does not order),
 // makes parent chains ascend one layer per hop and end at layer 0.
-func parentOf(g core.Adj, layer []int32, v int32) int32 {
-	if layer[v] <= 0 {
+func parentOf(g core.Adj, layer *paged.Array[int32], v int32) int32 {
+	l := layer.Get(v)
+	if l <= 0 {
 		return -1
 	}
-	kn := core.Kernel{G: g, S: core.Level(layer, layer[v]-1)}
+	kn := core.Kernel{G: g, S: core.Level(layer, l-1)}
 	return kn.SmallestDominator(v)
 }
 
-// buildLayerLists materializes the per-layer vertex lists (ascending —
-// the scan order guarantees it).
-func (t *Tree) buildLayerLists() {
-	max := int32(-1)
-	for _, l := range t.layer {
-		if l > max {
-			max = l
+// layerLists returns the per-layer vertex lists (ascending — the scan
+// order guarantees it), materializing them on first use: one O(n)
+// pass, which a carried tree pays only when a query reads the lists.
+func (t *Tree) layerLists() [][]int32 {
+	t.layerOnce.Do(func() {
+		t.layers = make([][]int32, len(t.counts))
+		for k := range t.layers {
+			t.layers[k] = make([]int32, 0, t.counts[k])
 		}
-	}
-	t.layers = make([][]int32, max+1)
-	counts := make([]int, max+1)
-	for _, l := range t.layer {
-		if l >= 0 {
-			counts[l]++
+		for v := int32(0); v < int32(t.N()); v++ {
+			if l := t.layer.Get(v); l >= 0 {
+				t.layers[l] = append(t.layers[l], v)
+			}
 		}
-	}
-	for k := range t.layers {
-		t.layers[k] = make([]int32, 0, counts[k])
-	}
-	for v := int32(0); v < int32(len(t.layer)); v++ {
-		if l := t.layer[v]; l >= 0 {
-			t.layers[l] = append(t.layers[l], v)
-		}
-	}
+	})
+	return t.layers
 }
 
 // N returns the vertex count.
-func (t *Tree) N() int { return len(t.layer) }
+func (t *Tree) N() int { return t.layer.Len() }
 
 // NumLayers returns the number of dominance layers.
-func (t *Tree) NumLayers() int { return len(t.layers) }
+func (t *Tree) NumLayers() int { return len(t.counts) }
 
 // Layer returns v's dominance layer (0 = skyline; -1 only when the
 // build was truncated before reaching v's level).
-func (t *Tree) Layer(v int32) int32 { return t.layer[v] }
+func (t *Tree) Layer(v int32) int32 { return t.layer.Get(v) }
 
 // Parent returns v's canonical dominator witness in layer Layer(v)-1,
 // or -1 for layer-0 and unassigned vertices.
-func (t *Tree) Parent(v int32) int32 { return t.parent[v] }
+func (t *Tree) Parent(v int32) int32 { return t.parent.Get(v) }
 
 // LayerVertices returns the vertices of layer k in ascending ID order.
 // The slice is shared — callers must not mutate it.
 func (t *Tree) LayerVertices(k int) []int32 {
-	if k < 0 || k >= len(t.layers) {
+	if k < 0 || k >= len(t.counts) {
 		return nil
 	}
-	return t.layers[k]
+	return t.layerLists()[k]
 }
 
 // LayerSizes returns the per-layer vertex counts.
-func (t *Tree) LayerSizes() []int {
-	sizes := make([]int, len(t.layers))
-	for k, l := range t.layers {
-		sizes[k] = len(l)
-	}
-	return sizes
-}
+func (t *Tree) LayerSizes() []int { return slices.Clone(t.counts) }
 
 // TopK returns layers 0..k-1 (fewer when the tree is shallower). The
 // inner slices are shared — callers must not mutate them.
 func (t *Tree) TopK(k int) [][]int32 {
-	if k > len(t.layers) {
-		k = len(t.layers)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return t.layers[:k:k]
+	k = max(0, min(k, len(t.counts)))
+	return t.layerLists()[:k:k]
 }
 
 // Explain returns the dominator chain from v to the skyline: v itself,
@@ -267,8 +263,8 @@ func (t *Tree) TopK(k int) [][]int32 {
 // entries. Unassigned vertices (truncated builds) get a 1-chain.
 func (t *Tree) Explain(v int32) []int32 {
 	chain := []int32{v}
-	for t.parent[v] >= 0 {
-		v = t.parent[v]
+	for p := t.parent.Get(v); p >= 0; p = t.parent.Get(v) {
+		v = p
 		chain = append(chain, v)
 	}
 	return chain
@@ -278,9 +274,9 @@ func (t *Tree) Explain(v int32) []int32 {
 // The inverse index is materialized once, on first use.
 func (t *Tree) Children(v int32) []int32 {
 	t.childOnce.Do(func() {
-		t.children = make([][]int32, len(t.layer))
-		for u := int32(0); u < int32(len(t.parent)); u++ {
-			if p := t.parent[u]; p >= 0 {
+		t.children = make([][]int32, t.N())
+		for u := int32(0); u < int32(t.N()); u++ {
+			if p := t.parent.Get(u); p >= 0 {
 				t.children[p] = append(t.children[p], u)
 			}
 		}
@@ -294,11 +290,12 @@ func (t *Tree) Children(v int32) []int32 {
 // isolated vertex is dominated by any vertex with a neighbor and can
 // itself dominate only another isolated vertex. So when g has an edge,
 // R is layer 0 minus g's isolated vertices; an edgeless non-empty graph
-// has R = {0}. t must be complete.
+// has R = {0}. t must be complete. The count is O(1): it reads the
+// layer counts and g's isolated-vertex count, not the layer lists.
 func (t *Tree) SkylineSize(g *graph.Graph) int {
 	switch {
 	case g.M() > 0:
-		return len(t.LayerVertices(0)) - g.DegreeHist()[0]
+		return t.counts[0] - g.Isolated()
 	case g.N() > 0:
 		return 1
 	}
@@ -308,11 +305,11 @@ func (t *Tree) SkylineSize(g *graph.Graph) int {
 // Equal reports whether two trees assign identical layers and parents
 // (the incremental-maintenance oracle's equality).
 func (t *Tree) Equal(o *Tree) bool {
-	if len(t.layer) != len(o.layer) {
+	if t.N() != o.N() {
 		return false
 	}
-	for v := range t.layer {
-		if t.layer[v] != o.layer[v] || t.parent[v] != o.parent[v] {
+	for v := int32(0); v < int32(t.N()); v++ {
+		if t.layer.Get(v) != o.layer.Get(v) || t.parent.Get(v) != o.parent.Get(v) {
 			return false
 		}
 	}
